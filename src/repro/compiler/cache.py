@@ -13,16 +13,18 @@ Compile *errors* are cached too (negative caching): a vendor version that
 rejects a directive rejects it identically on every attempt, and the
 error-heavy beta sweeps benefit the most.
 
-The cache is thread-safe (the ``thread`` execution policy shares one
-runner); under the ``process`` policy each worker process holds its own
-cache, and the engine aggregates hit counters from the per-phase flags
-carried by the results.
+The cache is thread-safe and single-flight: concurrent lookups of one
+key share one compile, so a key is compiled (and counted as a miss) once
+however many threads race for it.  Under the ``process`` policy each
+worker process holds its own cache, and the engine aggregates hit
+counters from the per-phase flags carried by the results.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Optional, Tuple, TYPE_CHECKING
 
@@ -52,7 +54,7 @@ class CacheStats:
 
     Taken under the cache lock, so ``hits + misses == lookups`` always
     holds *within one snapshot* — reading the ``hits``/``misses``
-    attributes separately under the thread policy can tear (one counter
+    attributes separately from another thread can tear (one counter
     from before a concurrent update, the other from after) and report
     totals that don't sum to the number of lookups.
     """
@@ -79,6 +81,8 @@ class CompileCache:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._entries: "OrderedDict[tuple, Tuple[object, object]]" = OrderedDict()
+        #: key -> Future of the (program, error) pair being compiled now
+        self._inflight: "dict[tuple, Future]" = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -126,6 +130,11 @@ class CompileCache:
         accounted as a miss, wrapped in :class:`CompilerCrashError` and
         surfaced as the outcome's error — never cached, never raised.
 
+        Single-flight: the first lookup of a key compiles it (one miss);
+        lookups racing it wait for that compile and count as hits.  They
+        receive its outcome, a crash included — the next lookup after the
+        crash compiles afresh.
+
         ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives
         ``compile.cache_hit``/``compile.cache_miss`` events and counters;
         cached errors are hits, fresh errors additionally bump
@@ -135,10 +144,20 @@ class CompileCache:
         observe = tracer is not None and tracer.enabled
         with self._lock:
             entry = self._entries.get(k)
+            flight = None
             if entry is not None:
                 self._entries.move_to_end(k)
                 self.hits += 1
-        if entry is not None:
+            else:
+                flight = self._inflight.get(k)
+                if flight is not None:
+                    self.hits += 1
+                else:
+                    self.misses += 1
+                    self._inflight[k] = Future()
+        if entry is not None or flight is not None:
+            if entry is None:
+                entry = flight.result()
             program, error = entry
             if observe:
                 tracer.event("compile.cache_hit", template=name,
@@ -149,20 +168,18 @@ class CompileCache:
             tracer.event("compile.cache_miss", template=name,
                          language=language)
             tracer.metrics.counter("compile.cache_misses").inc()
+        cacheable = True
         try:
-            program = compiler.compile(source, language, name)
+            entry = (compiler.compile(source, language, name), None)
         except CompileError as err:
-            self._store(k, (None, err))
+            entry = (None, err)
             if observe:
                 tracer.metrics.counter("compile.errors").inc()
-            return CacheOutcome(program=None, error=err, hit=False)
         except Exception as err:  # internal compiler crash: keep the contract
-            # Account the miss (the attempt really went to the compiler) but
-            # cache nothing: a transient crash must not poison future
-            # compiles of the same source the way a negative-cached
-            # diagnostic would.
-            with self._lock:
-                self.misses += 1
+            # The miss is accounted (the attempt really went to the
+            # compiler) but nothing is cached: a transient crash must not
+            # poison future compiles of the same source the way a
+            # negative-cached diagnostic would.
             if observe:
                 tracer.event("compile.crashed", template=name,
                              language=language, error=repr(err))
@@ -170,14 +187,24 @@ class CompileCache:
             crash = CompilerCrashError(
                 f"internal compiler crash: {err!r}", cause=err
             )
-            return CacheOutcome(program=None, error=crash, hit=False)
-        self._store(k, (program, None))
-        return CacheOutcome(program=program, error=None, hit=False)
+            entry, cacheable = (None, crash), False
+        except BaseException as err:  # interrupted: release the waiters too
+            with self._lock:
+                flight = self._inflight.pop(k)
+            flight.set_exception(err)
+            raise
+        self._land(k, entry, cacheable)
+        return CacheOutcome(program=entry[0], error=entry[1], hit=False)
 
-    def _store(self, k: tuple, entry: Tuple[object, object]) -> None:
+    def _land(self, k: tuple, entry: Tuple[object, object],
+              cacheable: bool) -> None:
+        """Finish the key's flight: store ``entry`` (unless it is a crash)
+        and hand it to every waiter."""
         with self._lock:
-            self.misses += 1
-            self._entries[k] = entry
-            self._entries.move_to_end(k)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            if cacheable:
+                self._entries[k] = entry
+                self._entries.move_to_end(k)
+                while len(self._entries) > self.maxsize:
+                    self._entries.popitem(last=False)
+            flight = self._inflight.pop(k)
+        flight.set_result(entry)

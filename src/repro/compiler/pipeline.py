@@ -75,9 +75,9 @@ class CompiledProgram:
     def lowered(self, tracer=None, name: Optional[str] = None):
         """The closure-lowered form, computed once per compiled program.
 
-        Benign data race under the thread policy: two threads may lower
-        concurrently and one result wins; lowering is pure, so both are
-        interchangeable.
+        Benign data race when threads share a program (the compile cache
+        is thread-safe): two threads may lower concurrently and one result
+        wins; lowering is pure, so both are interchangeable.
 
         ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives
         ``lower.cache_hit``/``lower.cache_miss`` events and counters,

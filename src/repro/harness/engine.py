@@ -1,28 +1,28 @@
-"""Execution engine: pluggable policies for suite runs.
+"""Execution engine: one contract, two implementations.
 
-``ValidationRunner.run_suite`` used to walk the template list strictly
-serially, although the workload — compile, run M times, classify, next
-template — is embarrassingly parallel.  This module supplies the paper's
-"runs on random nodes / tracks large sweeps" scale-out shape as three
-interchangeable policies behind ``HarnessConfig.policy``/``workers``:
+``ValidationRunner.run_suite`` hands its work units — compile, run M
+times, classify, per template — to an *engine*: anything with
+``run(templates, runner, on_complete=, cancel=) -> EngineOutcomes``.
+This is the paper's "run each test M times on whatever nodes you get"
+scale-out shape, selected by ``HarnessConfig.policy``/``workers``:
 
-* ``serial`` — the original in-order loop (the default);
-* ``thread`` — a thread pool sharing one runner and one compile cache
-  (useful for I/O-bound behaviours and as a determinism cross-check);
-* ``process`` — a process pool: ``(behavior, config)`` are shipped to each
-  worker once via the pool initializer, then work units carry only
-  ``(index, template)`` and ship a finished :class:`TestResult` back.
+* ``serial`` (:class:`SerialEngine`) — the in-order in-process loop (the
+  default);
+* ``process`` (:class:`ProcessEngine`) — a process pool, the one policy
+  that actually runs units in parallel: ``(behavior, config)`` are shipped
+  to each worker once via the pool initializer, then work units carry
+  only ``(index, template)`` and ship a finished :class:`TestResult` back.
 
 Determinism guarantee: results are reassembled in template order, and every
 per-iteration RNG seed derives from ``HarnessConfig`` alone (``rng_seed +
-k``), never from scheduling — so serial and parallel runs of the same
+k``), never from scheduling — so serial and process runs of the same
 configuration render byte-identical text/CSV/HTML reports.
 
 Every run also assembles a :class:`RunMetrics` (attached to the report):
 per-phase wall time, compile-cache hit rate, per-worker busy time and
-failure-kind counters — the observability side of the scale-out work.
+failure-kind counters.
 
-Resilience: every policy funnels work units through
+Resilience: both engines funnel work units through
 :func:`run_unit_resilient` — bounded retry with exponential backoff for
 harness faults (injected or real), degrading to a HARNESS_ERROR-marked
 result once the budget is exhausted — and :class:`ProcessEngine`
@@ -31,7 +31,7 @@ only the lost units (serial fallback after :data:`MAX_POOL_DEATHS` broken
 pools).  A healed run is byte-identical to a fault-free run of the same
 configuration, because retries replay the same config-derived seeds.
 
-Durability: every policy reports each finished unit through an optional
+Durability: both engines report each finished unit through an optional
 per-unit completion callback, invoked from the coordinating thread in
 completion order — the hook :mod:`repro.journal` uses to append fsync'd
 records the moment results exist.
@@ -41,13 +41,10 @@ makes the engines finish their in-flight units and raise
 :class:`CampaignInterrupted` instead of starting new ones, so an
 interrupted campaign exits with everything completed so far journaled.
 Tokens are per-campaign state, so one campaign's cancel never drains a
-concurrent neighbour and never poisons later runs in the same process —
-the :mod:`repro.server` relies on this to cancel one client's campaign
-while the rest keep running.  The legacy process-global drain API
-(:func:`request_drain`/:func:`drain_requested`/:func:`reset_drain`) is
-kept as a deprecated shim over a module-default token: ``request_drain``
-additionally cancels every *active* campaign token, so the CLI's
-SIGINT/SIGTERM path behaves exactly as before.
+concurrent neighbour and never poisons later runs in the same process.
+Whoever starts a campaign owns its token: each CLI command builds one and
+cancels it from its SIGINT/SIGTERM handler, and :mod:`repro.server`
+cancels one client's campaign while the rest keep running.
 """
 
 from __future__ import annotations
@@ -55,11 +52,9 @@ from __future__ import annotations
 import os
 import signal
 import threading
-import time
 from concurrent.futures import (
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     as_completed,
 )
 from dataclasses import dataclass, field
@@ -129,12 +124,6 @@ class CancelToken:
     def cancelled(self) -> bool:
         return self._event.is_set()
 
-    def reset(self) -> None:
-        """Re-arm the token (used by the deprecated ``reset_drain`` shim;
-        fresh campaigns should just build a fresh token)."""
-        self._event.clear()
-        self._reason = None
-
     def check(self) -> None:
         """Raise :class:`CampaignInterrupted` if cancelled."""
         if self._event.is_set():
@@ -147,79 +136,6 @@ class CancelToken:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled() else "armed"
         return f"<CancelToken {state} at {id(self):#x}>"
-
-
-#: tokens of campaigns currently inside an engine run; ``request_drain``
-#: (the SIGINT/SIGTERM handler) cancels all of them.  A list, not a set:
-#: Titan re-registers its token around every inner run_suite call.
-_ACTIVE_TOKENS: List[CancelToken] = []
-_ACTIVE_LOCK = threading.Lock()
-
-#: the token behind the deprecated module-level drain API; the CLI's
-#: reset_drain()/request_drain() signal path operates on this one
-_DEFAULT_TOKEN = CancelToken()
-
-
-class _TokenActivation:
-    """Context manager registering a token as an active campaign."""
-
-    __slots__ = ("_token",)
-
-    def __init__(self, token: CancelToken) -> None:
-        self._token = token
-
-    def __enter__(self) -> CancelToken:
-        with _ACTIVE_LOCK:
-            _ACTIVE_TOKENS.append(self._token)
-        return self._token
-
-    def __exit__(self, *exc_info) -> None:
-        with _ACTIVE_LOCK:
-            try:
-                _ACTIVE_TOKENS.remove(self._token)
-            except ValueError:  # pragma: no cover - double-exit guard
-                pass
-
-
-def activate_token(token: CancelToken) -> _TokenActivation:
-    """Register ``token`` as an active campaign for the duration of a
-    ``with`` block, making it reachable from :func:`request_drain` (the
-    CLI's SIGINT/SIGTERM handler)."""
-    return _TokenActivation(token)
-
-
-def request_drain(signum: Optional[int] = None, frame=None) -> None:
-    """Deprecated shim: ask *every* active campaign to drain gracefully.
-
-    Signature is signal-handler compatible, so the CLI installs it
-    directly for SIGINT/SIGTERM — a console interrupt should stop
-    everything in the process, which is exactly this shim's semantics.
-    Library callers who want to cancel *one* campaign should pass a
-    :class:`CancelToken` to ``run_suite(cancel=...)`` and cancel that
-    instead.
-    """
-    reason = None
-    if signum is not None:
-        reason = (
-            f"graceful drain requested (signal {signum}): in-flight units "
-            "finished, remaining units not started"
-        )
-    _DEFAULT_TOKEN.cancel(reason)
-    with _ACTIVE_LOCK:
-        active = list(_ACTIVE_TOKENS)
-    for token in active:
-        token.cancel(reason)
-
-
-def drain_requested() -> bool:
-    """Deprecated shim: state of the module-default token only (it cannot
-    see per-campaign tokens; ask your own token instead)."""
-    return _DEFAULT_TOKEN.cancelled()
-
-
-def reset_drain() -> None:
-    """Deprecated shim: re-arm the module-default token."""
-    _DEFAULT_TOKEN.reset()
 
 
 @dataclass
@@ -239,7 +155,7 @@ class RunMetrics:
     templates: int = 0
     #: total program executions (functional + cross, all iterations)
     iterations_run: int = 0
-    #: busy seconds per worker (thread name / worker pid)
+    #: busy seconds per worker ("main" / worker pid)
     worker_busy_s: Dict[str, float] = field(default_factory=dict)
     #: failure-kind value -> count, e.g. {"compile_error": 3}
     failure_kinds: Dict[str, int] = field(default_factory=dict)
@@ -307,7 +223,7 @@ def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
     tracer = runner.tracer
     cancel = getattr(runner, "cancel", None)
     # live telemetry (repro.obs.live): set by run_suite in the coordinating
-    # process for serial/thread runs; process-pool workers rebuild their
+    # process for serial runs; process-pool workers rebuild their
     # runner without it (sinks live only in the parent), so their retries
     # surface via the returned results, not live events
     live = getattr(runner, "live", None)
@@ -372,51 +288,6 @@ class SerialEngine:
             if on_complete is not None:
                 on_complete(index, template, result)
         return outcomes
-
-
-class ThreadEngine:
-    """A thread pool sharing one runner (and its compile cache)."""
-
-    policy = "thread"
-
-    def __init__(self, workers: int):
-        self.workers = workers
-
-    def run(self, templates: Sequence["TestTemplate"],
-            runner: "ValidationRunner",
-            on_complete: Optional[UnitCallback] = None,
-            cancel: Optional[CancelToken] = None) -> EngineOutcomes:
-        if not templates:
-            return []
-        cancel = cancel if cancel is not None else CancelToken()
-        cancel.check()
-
-        def unit(payload: Tuple[int, "TestTemplate"]):
-            index, template = payload
-            result = run_unit_resilient(runner, template)
-            return index, result, threading.current_thread().name
-
-        raw = []
-        with ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="harness"
-        ) as pool:
-            futures = [pool.submit(unit, item) for item in enumerate(templates)]
-            try:
-                # completion order, in this (coordinating) thread: the
-                # journal callback sees each result the moment it exists
-                for future in as_completed(futures):
-                    index, result, worker = future.result()
-                    raw.append((index, result, worker))
-                    if on_complete is not None:
-                        on_complete(index, templates[index], result)
-                    cancel.check()
-            except BaseException:
-                # drain or a callback failure (e.g. an injected journal
-                # tear): drop queued units, let in-flight ones finish
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
-        raw.sort(key=lambda item: item[0])
-        return [(result, worker) for _, result, worker in raw]
 
 
 # -- process-pool plumbing: one runner per worker process, built once -------
@@ -570,7 +441,6 @@ class ProcessEngine:
 
 _ENGINES = {
     "serial": SerialEngine,
-    "thread": ThreadEngine,
     "process": ProcessEngine,
 }
 assert set(_ENGINES) == set(EXECUTION_POLICIES)

@@ -355,17 +355,16 @@ class ValidationRunner:
         ``cancel`` is this campaign's
         :class:`repro.harness.engine.CancelToken`; cancelling it drains
         the run gracefully (:class:`CampaignInterrupted` after the
-        in-flight units finish).  Defaults to a fresh token, so a cancel —
-        or a process-wide ``request_drain`` — in an earlier or concurrent
-        campaign never bleeds into this one.
+        in-flight units finish).  Defaults to a fresh token, so a cancel
+        in an earlier or concurrent campaign never bleeds into this one.
 
         ``engine`` overrides the execution engine (anything honouring the
-        ``run(templates, runner, on_complete=, cancel=)`` protocol, e.g. a
-        :mod:`repro.sched` backend's); by default it is built from the
-        config's ``policy``/``workers``.  Purely an execution knob:
-        reports stay byte-identical across engines.
+        ``run(templates, runner, on_complete=, cancel=)`` protocol); by
+        default it is built from the config's ``policy``/``workers``.
+        Purely an execution knob: reports stay byte-identical across
+        engines.
         """
-        from repro.harness.engine import CancelToken, activate_token
+        from repro.harness.engine import CancelToken
 
         config = self.config
         cancel = cancel if cancel is not None else CancelToken()
@@ -469,9 +468,7 @@ class ValidationRunner:
         previous_cancel = self.cancel
         self.cancel = cancel
         try:
-            # while the engine runs, the token is an *active* campaign:
-            # request_drain (the CLI's SIGINT/SIGTERM handler) reaches it
-            with activate_token(cancel), tracer.span(
+            with tracer.span(
                 "run", key=self.behavior.label,
                 policy=engine.policy, workers=engine.workers,
             ) as root:
@@ -490,8 +487,8 @@ class ValidationRunner:
             self.cancel = previous_cancel
             if owns_live:
                 self.live = None
-        # spans recorded off the main thread (thread pools) or adopted from
-        # worker processes have no parent: stitch them under this run's root
+        # spans adopted from worker processes have no parent: stitch them
+        # under this run's root
         tracer.reparent_orphans(root)
         if replayed:
             # merge back in template order; replayed units are attributed

@@ -16,8 +16,7 @@ including mid-journal-write — and resumed to a byte-identical report.
 
 CLI surface: ``repro validate --journal FILE`` / ``--resume FILE`` (same
 for ``repro titan``), ``repro journal inspect FILE`` and ``repro journal
-fsck FILE`` (crash-consistency check across a base journal plus all
-``<base>.shardK`` segments; see :mod:`repro.journal.fsck`).
+fsck FILE`` (crash-consistency check; see :mod:`repro.journal.fsck`).
 """
 
 from repro.journal.wal import (

@@ -3,9 +3,8 @@
 :func:`read_journal` is the strict loader: it refuses a file whose
 damage exceeds the torn-tail rule, because resuming from a lying journal
 is worse than not resuming at all.  This module is the *diagnostic*
-counterpart: it never raises on damage — it scans a base journal plus
-every ``<base>.shardK`` segment, classifies each file, and reports what
-a resume would salvage:
+counterpart: it never raises on damage — it scans a journal file,
+classifies it, and reports what a resume would salvage:
 
 * ``ok`` — every line checksums, clean shutdown;
 * ``torn`` — trailing bytes fail to verify *at EOF only* (the state a
@@ -16,10 +15,6 @@ a resume would salvage:
   the intact prefix *before* the first bad line is still counted so the
   report shows what re-journaling could recover;
 * ``missing`` — the path does not exist.
-
-Cross-file invariant: every scanned file must carry the *same* campaign
-key in its header — segments of one sharded campaign are one campaign.
-Mismatches are reported per file against the first readable header.
 """
 
 from __future__ import annotations
@@ -50,41 +45,38 @@ class FileFsck:
     #: 1-based line number of the first bad line (None when ok)
     first_bad_line: Optional[int] = None
     detail: str = ""
-    #: does this file's campaign key match the fsck run's reference key
-    campaign_matches: bool = True
 
     @property
     def salvageable(self) -> bool:
         """Would a resume accept this file (possibly after truncation)?"""
-        return self.status in ("ok", "torn") and self.campaign_matches
+        return self.status in ("ok", "torn")
 
 
 @dataclass
 class FsckReport:
-    """The fsck verdict for a whole campaign (base + segments)."""
+    """The fsck verdict for a campaign journal (``files`` holds its one
+    scanned file)."""
 
     path: str
     files: List[FileFsck] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        """No corruption, no torn tails, consistent campaign keys."""
-        return all(f.status == "ok" and f.campaign_matches
-                   for f in self.files)
+        """No corruption, no torn tails."""
+        return all(f.status == "ok" for f in self.files)
 
     @property
     def resumable(self) -> bool:
-        """Would ``--resume`` accept every file (truncating torn tails)?"""
+        """Would ``--resume`` accept the journal (truncating a torn tail)?"""
         return bool(self.files) and all(f.salvageable for f in self.files)
 
     @property
     def corrupt_files(self) -> List[FileFsck]:
-        return [f for f in self.files
-                if f.status in ("corrupt", "missing") or not f.campaign_matches]
+        return [f for f in self.files if not f.salvageable]
 
     def salvageable_units(self) -> Dict[str, dict]:
-        """Merged unit records a resume (or re-journaling) would replay:
-        the intact prefix of every salvageable file."""
+        """Unit records a resume (or re-journaling) would replay: the
+        intact prefix of every salvageable file."""
         merged: Dict[str, dict] = {}
         for f in self.files:
             if f.salvageable:
@@ -167,34 +159,8 @@ def scan_journal_file(path: str) -> FileFsck:
 
 
 def fsck_journal(path: str) -> FsckReport:
-    """Fsck a campaign journal: the base file (if present) plus every
-    ``<base>.shardK`` segment, verifying the cross-file campaign key."""
-    from repro.sched.shards import segment_path
-
-    report = FsckReport(path=path)
-    if os.path.exists(path):
-        report.files.append(scan_journal_file(path))
-    shard = 0
-    while os.path.exists(segment_path(path, shard)):
-        report.files.append(scan_journal_file(segment_path(path, shard)))
-        shard += 1
-    if not report.files:
-        report.files.append(scan_journal_file(path))  # 'missing' verdict
-        return report
-    reference: Optional[dict] = None
-    for f in report.files:
-        if f.campaign:
-            reference = f.campaign
-            break
-    if reference is not None:
-        for f in report.files:
-            if f.campaign and f.campaign != reference:
-                f.campaign_matches = False
-                f.detail = (f"{f.detail}; " if f.detail else "") + (
-                    "campaign key differs from the first readable header — "
-                    "segments of one campaign must share one key"
-                )
-    return report
+    """Fsck a campaign journal file."""
+    return FsckReport(path=path, files=[scan_journal_file(path)])
 
 
 def render_fsck(report: FsckReport) -> str:
@@ -218,6 +184,5 @@ def render_fsck(report: FsckReport) -> str:
         bad = ", ".join(os.path.basename(f.path)
                         for f in report.corrupt_files)
         lines.append(f"verdict    CORRUPT ({bad}) — resume will refuse; "
-                     f"{len(salvage)} unit(s) remain salvageable from the "
-                     "other files")
+                     f"{len(salvage)} unit(s) remain salvageable")
     return "\n".join(lines)

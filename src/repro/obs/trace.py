@@ -32,8 +32,8 @@ Design points that matter to the rest of the system:
   :meth:`Tracer.reparent_orphans`, so one trace covers the whole run.
 
 Span parentage is tracked per-thread (a thread-local stack), which makes
-nesting automatic in serial code and safely isolated under the thread
-engine.
+nesting automatic in serial code and keeps concurrent threads (e.g. the
+campaign server's) isolated.
 """
 
 from __future__ import annotations

@@ -19,9 +19,11 @@ Requests:
 
 A submission *spec* is plain data: ``suite`` (``"1.0"`` or
 ``"combinations"``), optional ``vendor``/``version`` (a simulated
-vendor compiler; the reference behaviour otherwise), ``scheduler`` (a
-:mod:`repro.sched` backend name), optional ``workers`` (pool/shard/pod
-count), ``format`` (report renderer) and ``config`` (a
+vendor compiler; the reference behaviour otherwise), ``scheduler``
+(only ``"local"``: campaigns run on the server's engine), optional
+``workers`` (process count when ``config.policy`` is ``"process"``,
+overriding ``config.workers``), ``format`` (report renderer) and
+``config`` (a
 :meth:`repro.harness.HarnessConfig.to_dict`-shaped dict;
 execution-only knobs like ``policy`` are honoured, telemetry knobs are
 server-managed and rejected).
@@ -30,6 +32,7 @@ server-managed and rejected).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Optional
 
 SERVER_FORMAT = "repro.server/v1"
@@ -42,6 +45,11 @@ REPORT_EXTENSIONS = {"text": "txt", "csv": "csv", "html": "html",
                      "bugs": "bugs.txt"}
 
 SUITES = ("1.0", "combinations")
+
+#: the one scheduler: campaigns run on the server's local engine
+SCHEDULERS = ("local",)
+#: backends an older server accepted; their specs are refused by name
+REMOVED_SCHEDULERS = ("shards", "simk8s")
 
 #: config knobs a submission may NOT set: the server owns the telemetry
 #: pipeline (one NDJSON stream per campaign under its own directory)
@@ -60,6 +68,21 @@ EXIT_CANCELLED = 3
 
 class ProtocolError(ValueError):
     """A malformed request or submission spec."""
+
+
+def check_scheduler(scheduler) -> None:
+    """Refuse a spec's ``scheduler`` unless it is ``"local"``."""
+    if scheduler in REMOVED_SCHEDULERS:
+        raise ProtocolError(
+            f"scheduler backend {scheduler!r} was removed: campaigns run on "
+            "the local engine; set config.policy = \"process\" (and "
+            "config.workers) for a process pool"
+        )
+    if scheduler not in SCHEDULERS:
+        raise ProtocolError(
+            f"unknown scheduler {scheduler!r}; expected one of "
+            f"{', '.join(SCHEDULERS)}"
+        )
 
 
 def encode_line(payload: dict) -> bytes:
@@ -87,7 +110,6 @@ def normalize_spec(spec: dict) -> dict:
     key.
     """
     from repro.harness import HarnessConfig
-    from repro.sched import SCHEDULERS
 
     if not isinstance(spec, dict):
         raise ProtocolError(
@@ -105,11 +127,7 @@ def normalize_spec(spec: dict) -> dict:
             f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}"
         )
     scheduler = spec.get("scheduler", "local")
-    if scheduler not in SCHEDULERS:
-        raise ProtocolError(
-            f"unknown scheduler {scheduler!r}; expected one of "
-            f"{', '.join(SCHEDULERS)}"
-        )
+    check_scheduler(scheduler)
     fmt = spec.get("format", "text")
     if fmt not in REPORT_FORMATS:
         raise ProtocolError(
@@ -159,9 +177,13 @@ def normalize_spec(spec: dict) -> dict:
 
 
 def spec_config(spec: dict):
+    """The campaign's HarnessConfig; the spec's ``workers`` sizes the pool."""
     from repro.harness import HarnessConfig
 
-    return HarnessConfig.from_dict(spec["config"])
+    config = HarnessConfig.from_dict(spec["config"])
+    if spec.get("workers"):
+        config = replace(config, workers=spec["workers"])
+    return config
 
 
 def spec_suite(spec: dict):
@@ -185,12 +207,6 @@ def spec_behavior(spec: dict, config=None):
     # normalize_spec guarantees a vendor campaign pins a single language
     (language,) = tuple(config.languages)
     return vendor_version(spec["vendor"], spec["version"]).behavior(language)
-
-
-def spec_backend(spec: dict):
-    from repro.sched import create_backend
-
-    return create_backend(spec["scheduler"], workers=spec.get("workers"))
 
 
 def spec_campaign_key(spec: dict, config=None, behavior=None) -> dict:

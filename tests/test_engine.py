@@ -2,8 +2,8 @@
 run metrics.
 
 The central property (the determinism guarantee of
-:mod:`repro.harness.engine`): ``serial``, ``thread`` and ``process``
-policies must produce *identical* reports — same pass rates, failure kinds
+:mod:`repro.harness.engine`): the ``serial`` and ``process`` policies
+must produce *identical* reports — same pass rates, failure kinds
 and certainty values, byte-identical text/CSV renderings — for the same
 configuration.
 """
@@ -103,13 +103,13 @@ class TestPolicyEquivalence:
         return _run("serial", 1)
 
     @pytest.mark.parametrize("policy,workers",
-                             [("thread", 2), ("process", 2), ("process", 4)])
+                             [("process", 2), ("process", 4)])
     def test_reports_byte_identical(self, serial_report, policy, workers):
         report = _run(policy, workers)
         assert render_csv(report) == render_csv(serial_report)
         assert render_text(report) == render_text(serial_report)
 
-    @pytest.mark.parametrize("policy", ["thread", "process"])
+    @pytest.mark.parametrize("policy", ["process"])
     def test_semantics_identical(self, serial_report, policy):
         report = _run(policy, 2)
         assert report.pass_rate() == serial_report.pass_rate()
@@ -120,7 +120,21 @@ class TestPolicyEquivalence:
                [r.template.name for r in serial_report.results]
 
     def test_all_policies_registered(self):
-        assert set(EXECUTION_POLICIES) == {"serial", "thread", "process"}
+        assert EXECUTION_POLICIES == ("serial", "process")
+
+    @pytest.mark.parametrize("policy,workers", [("serial", 1),
+                                                ("process", 3)])
+    def test_injected_engine_byte_identical(self, serial_report, policy,
+                                            workers):
+        # run_suite(engine=...) overrides the config's policy; the report
+        # must not notice which engine ran it
+        config = HarnessConfig(iterations=2, languages=("c",),
+                               feature_prefixes=["loop", "declare",
+                                                 "parallel"])
+        report = ValidationRunner(_BUGGY, config).run_suite(
+            openacc10_suite(), engine=create_engine(policy, workers))
+        assert render_csv(report) == render_csv(serial_report)
+        assert render_text(report) == render_text(serial_report)
 
     def test_empty_selection_raises(self):
         # a selection matching nothing used to yield an empty report — a
@@ -286,38 +300,11 @@ class TestCancelToken:
         assert token.cancelled()
         with pytest.raises(CampaignInterrupted, match="test reason"):
             token.check()
-        token.reset()
-        assert not token.cancelled()
-        token.check()
-
-    def test_request_drain_reaches_active_tokens_only(self):
-        from repro.harness import (
-            CancelToken,
-            activate_token,
-            request_drain,
-            reset_drain,
-        )
-
-        active = CancelToken()
-        bystander = CancelToken()
-        with activate_token(active):
-            request_drain()
-        assert active.cancelled()
-        assert not bystander.cancelled()
-        # a token created after the drain starts fresh — the regression
-        # this layer fixes: the old process-global flag poisoned every
-        # later campaign in the process
+        # the first reason sticks; a fresh token starts armed
+        token.cancel("later reason")
+        with pytest.raises(CampaignInterrupted, match="test reason"):
+            token.check()
         assert not CancelToken().cancelled()
-        reset_drain()
-
-    def test_activation_is_reentrant(self):
-        # Titan re-registers its token around every inner run_suite
-        from repro.harness import CancelToken, activate_token
-
-        token = CancelToken()
-        with activate_token(token):
-            with activate_token(token):
-                pass
 
     def test_second_campaign_after_drained_one_runs_clean(self):
         # satellite regression: campaign 1 drains; campaign 2, with no
@@ -334,24 +321,23 @@ class TestCancelToken:
         report = runner.run_suite(openacc10_suite())
         assert report.results and runner.cancel is None
 
-    def test_stale_global_drain_does_not_poison_new_campaigns(self):
-        # the literal pre-fix failure mode: request_drain() with no
-        # campaign active used to set a process-global flag that made
-        # every subsequent run_suite abort on its first unit
-        from repro.harness import drain_requested, request_drain, reset_drain
+    def test_cancelled_campaign_leaves_shared_engine_clean(self):
+        # per-campaign tokens: one process engine serves a cancelled
+        # campaign, then a neighbour that must render like a serial run
+        from repro.harness import CampaignInterrupted, CancelToken
 
-        request_drain()
-        assert drain_requested()
-        try:
-            config = HarnessConfig(iterations=1, languages=("c",),
-                                   feature_prefixes=["loop.gang"])
-            report = ValidationRunner(_BUGGY, config).run_suite(
-                openacc10_suite()
-            )
-            assert report.results
-        finally:
-            reset_drain()
-            assert not drain_requested()
+        config = HarnessConfig(iterations=2, languages=("c",),
+                               feature_prefixes=["loop", "declare",
+                                                 "parallel"])
+        engine = create_engine("process", 2)
+        doomed = CancelToken()
+        doomed.cancel("test")
+        with pytest.raises(CampaignInterrupted):
+            ValidationRunner(_BUGGY, config).run_suite(
+                openacc10_suite(), cancel=doomed, engine=engine)
+        report = ValidationRunner(_BUGGY, config).run_suite(
+            openacc10_suite(), cancel=CancelToken(), engine=engine)
+        assert render_csv(report) == render_csv(_run("serial", 1))
 
     def test_retry_ladder_aborts_on_drain(self):
         # run_unit_resilient's never-raises contract has one documented
@@ -401,7 +387,7 @@ class TestConcurrentCampaigns:
                                  feature_prefixes=["loop", "parallel"])
         config_b = HarnessConfig(iterations=1, languages=("c",),
                                  feature_prefixes=["declare", "update"],
-                                 policy="thread", workers=2)
+                                 policy="process", workers=2)
         expected = {"a": self._csv(config_a), "b": self._csv(config_b)}
         results: dict = {}
 

@@ -9,6 +9,8 @@ verdicts.  Persistent faults exhaust the budget and degrade to
 HARNESS_ERROR rows; the suite always completes.
 """
 
+import time
+
 import pytest
 
 from repro.compiler import CompileCache, Compiler, CompilerCrashError
@@ -153,7 +155,7 @@ class TestInjector:
     def test_sites_cover_documented_list(self):
         assert set(FAULT_SITES) == {
             "compile", "iteration", "worker", "stall", "journal",
-            "shard_death", "pod", "conn", "frame", "slow_client", "segment",
+            "conn", "frame", "slow_client",
         }
 
 
@@ -188,6 +190,51 @@ class TestCacheCrashContract:
                                           "c", "t.c")
         assert healed.error is None and healed.program is not None
         assert not healed.hit and cache.misses == 2
+
+    def test_crash_is_delivered_to_single_flight_waiters(self):
+        # lookups racing an in-flight compile wait for it (hits) and get
+        # its crash too; the crash is cached for nobody, and the compiler
+        # ran exactly once
+        import threading
+
+        waiters = 3
+        release = threading.Event()
+        calls = []
+
+        class _SlowCrash:
+            behavior = Compiler().behavior
+
+            def compile(self, source, language, name):
+                calls.append(name)
+                assert release.wait(timeout=30)
+                raise RuntimeError("boom")
+
+        cache = CompileCache()
+        outcomes = []
+
+        def lookup():
+            outcomes.append(cache.get_or_compile(
+                _SlowCrash(), "int main(){return 1;}", "c", "t.c"))
+
+        threads = [threading.Thread(target=lookup)
+                   for _ in range(1 + waiters)]
+        threads[0].start()
+        while not calls:
+            threads[0].join(timeout=0.01)
+        for t in threads[1:]:
+            t.start()
+        deadline = time.monotonic() + 30
+        while cache.stats().hits < waiters:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        release.set()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert len(calls) == 1
+        assert all(isinstance(o.error, CompilerCrashError) for o in outcomes)
+        assert sorted(o.hit for o in outcomes) == [False] + [True] * waiters
+        assert (cache.hits, cache.misses, len(cache)) == (waiters, 1, 0)
 
 
 # ---------------------------------------------------------------------------

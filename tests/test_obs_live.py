@@ -238,7 +238,7 @@ def test_snapshot_units_per_sec_counts_fresh_units_only():
 
 
 @pytest.mark.parametrize("policy,workers", [
-    ("serial", 1), ("thread", 2), ("process", 2),
+    ("serial", 1), ("process", 2),
 ])
 @pytest.mark.parametrize("backend", ["tree", "closures"])
 def test_reports_identical_with_and_without_telemetry(

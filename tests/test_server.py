@@ -96,6 +96,12 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match=match):
             normalize_spec(bad)
 
+    @pytest.mark.parametrize("scheduler", ["shards", "simk8s"])
+    def test_removed_schedulers_rejected_with_pointer(self, scheduler):
+        with pytest.raises(ProtocolError, match="was removed") as err:
+            normalize_spec({"scheduler": scheduler, "workers": 2})
+        assert 'config.policy = "process"' in str(err.value)
+
     def test_vendor_spec_with_single_language_accepted(self):
         spec = normalize_spec({"vendor": "caps", "version": "3.0.7",
                                "config": {"languages": ["c"]}})
@@ -123,18 +129,6 @@ class TestServerRoundTrip:
         assert info["state"] == "done" and info["exit"] == 0
         with open(info["report_path"], encoding="utf-8") as fh:
             assert fh.read() == _direct_csv(_SMALL)
-
-    def test_sched_backend_submission(self, server):
-        client = _client(server)
-        spec = dict(_SMALL, scheduler="shards", workers=2)
-        cid = client.submit(spec)["id"]
-        info = client.wait(cid, timeout_s=120)
-        assert info["state"] == "done"
-        with open(info["report_path"], encoding="utf-8") as fh:
-            assert fh.read() == _direct_csv(_SMALL)
-        # the shard campaign journaled into per-shard segments
-        root = server.server.root
-        assert os.path.exists(os.path.join(root, f"{cid}.journal.shard0"))
 
     def test_tail_replays_and_terminates(self, server):
         client = _client(server)
@@ -276,6 +270,37 @@ class TestServerResume:
                 assert fh.read() == _direct_csv(_BIG)
         finally:
             handle2.stop()
+
+    def test_replayed_removed_scheduler_fails_not_crashes(self, tmp_path):
+        # a server journal written before the shards/simk8s backends were
+        # removed: its queued campaign must end failed with the reason,
+        # and the server must keep serving new campaigns
+        import repro
+        from repro.journal import JOURNAL_FORMAT, JournalWriter
+
+        root = tmp_path / "state"
+        root.mkdir()
+        key = {"format": JOURNAL_FORMAT, "command": "serve",
+               "code_version": repro.__version__}
+        old_spec = dict(normalize_spec(_SMALL), scheduler="shards",
+                        workers=2)
+        journal = JournalWriter.create(str(root / "server.journal"), key)
+        journal.append("c0001", {"spec": old_spec, "state": "queued",
+                                 "error": None, "report_path": None,
+                                 "failures": None})
+        journal.close()
+
+        handle = serve_in_thread(str(root))
+        try:
+            client = _client(handle)
+            info = client.wait("c0001", timeout_s=60)
+            assert info["state"] == "failed" and info["exit"] == 1
+            assert "'shards' was removed" in info["error"]
+            assert 'config.policy = "process"' in info["error"]
+            cid = client.submit(_SMALL)["id"]
+            assert client.wait(cid, timeout_s=120)["state"] == "done"
+        finally:
+            handle.stop()
 
 
 # ---------------------------------------------------------------------------
