@@ -73,7 +73,8 @@ def test_bench_live_telemetry_overhead(benchmark, suite10, tmp_path):
     one per 0.2s.  The gate: a fully telemetered run costs at most 1.15x
     an untelemetered one.
     """
-    from repro.obs.live import lint_prometheus, read_live
+    from repro.obs import read_trace
+    from repro.obs.live import lint_prometheus
 
     plain_report, plain_s = _run(suite10)
 
@@ -86,7 +87,7 @@ def test_bench_live_telemetry_overhead(benchmark, suite10, tmp_path):
     live_report, live_s = benchmark.pedantic(live_run, rounds=1, iterations=1)
     overhead = live_s / plain_s
 
-    parsed = read_live(str(stream))
+    parsed = read_trace(str(stream))
     print_series("Live telemetry — streamed vs untelemetered, full C suite", [
         f"plain    {plain_s:7.2f} s",
         f"live     {live_s:7.2f} s   overhead {overhead:5.2f}x   "

@@ -14,14 +14,15 @@ Section III (compiler configuration, feature selection, result formats):
 * ``repro titan`` — a Section VII production sweep on the simulated
   cluster;
 * ``repro trace`` — summarize or render a trace recorded with
-  ``validate/titan --trace FILE.jsonl [--profile]``;
+  ``validate/titan --trace FILE.jsonl [--profile]`` (or a live stream:
+  both are ``repro.obs/v2`` record files);
 * ``repro journal inspect`` — examine the crash-safe campaign journal
   written by ``validate/titan --journal FILE`` (resumable with
   ``--resume FILE``);
 * ``repro obs tail`` — follow or summarize the live-telemetry NDJSON
   stream written by ``validate/titan --live-stream FILE`` (which also
   accept ``--status`` for a TTY progress line and ``--prom FILE`` for a
-  Prometheus textfile);
+  Prometheus textfile), or the events of a trace file;
 * ``repro obs perf`` — render the committed bench history
   (``benchmarks/BENCH_history.jsonl``) as a perf-trajectory HTML page.
 
@@ -562,24 +563,30 @@ def cmd_titan(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    from repro.obs import (
-        read_trace,
-        render_summary_text,
-        render_trace_html,
-        summarize_trace,
-    )
+def _read_obs_file(path: str, noun: str):
+    """Read a trace file or live stream tolerantly (a torn tail — the
+    writer was killed mid-write — still reads, with the damage counted);
+    returns None after printing why it cannot be read."""
+    from repro.obs import read_trace
 
     try:
-        # tolerant mode: a trace with a torn tail (the traced process was
-        # killed mid-write) still summarizes, with the damage counted
-        trace = read_trace(args.file, strict=False)
+        trace = read_trace(path, strict=False)
     except (OSError, ValueError) as err:
-        print(f"cannot read trace {args.file!r}: {err}", file=sys.stderr)
-        return 1
+        print(f"cannot read {noun} {path!r}: {err}", file=sys.stderr)
+        return None
     if trace.malformed:
-        print(f"warning: skipped {trace.malformed} malformed trace line(s) "
-              "(torn tail?)", file=sys.stderr)
+        print(f"warning: skipped {trace.malformed} malformed {noun} "
+              "line(s) (torn tail?)", file=sys.stderr)
+    return trace
+
+
+def cmd_trace(args) -> int:
+    from repro.obs import render_summary_text, render_trace_html, \
+        summarize_trace
+
+    trace = _read_obs_file(args.file, "trace")
+    if trace is None:
+        return 1
     if args.trace_command == "summarize":
         print(render_summary_text(summarize_trace(trace, top=args.top)))
     else:  # html
@@ -593,30 +600,18 @@ def cmd_trace(args) -> int:
 
 
 def _obs_tail(args) -> int:
-    from repro.obs.live import (
-        read_live,
-        render_record_line,
-        render_tally_text,
-    )
+    from repro.obs import render_summary_text, summarize_trace
+    from repro.obs.live import render_record_line
 
     if args.follow:
         return _obs_follow(args)
-    try:
-        # tolerant mode: a stream with a torn tail (the campaign process
-        # was killed mid-write) still reads, with the damage counted
-        stream = read_live(args.file, strict=False)
-    except (OSError, ValueError) as err:
-        print(f"cannot read live stream {args.file!r}: {err}",
-              file=sys.stderr)
+    trace = _read_obs_file(args.file, "stream")
+    if trace is None:
         return 1
-    if stream.malformed:
-        print(f"warning: skipped {stream.malformed} malformed stream "
-              "line(s) (torn tail?)", file=sys.stderr)
     if args.summarize:
-        print(render_tally_text(stream.tally(),
-                                final=stream.final_snapshot), end="")
+        print(render_summary_text(summarize_trace(trace)), end="")
     else:
-        for record in stream.records:
+        for record in trace.records:
             print(render_record_line(record))
     return 0
 
@@ -624,19 +619,21 @@ def _obs_tail(args) -> int:
 def _obs_follow(args) -> int:
     """Poll the stream file and print records as they land.
 
-    Only complete (newline-terminated) lines are consumed, so a record
-    the writer is mid-way through never prints garbled; unparsable
-    complete lines are skipped with a warning.  A file that *shrinks*
+    Only complete (newline-terminated) lines are consumed, each decoded by
+    the one reader's :func:`~repro.obs.sink.decode_line`, so a record the
+    writer is mid-way through never prints garbled; undecodable complete
+    lines are skipped with a warning, and a foreign format tag is refused
+    at once, exactly as without ``--follow``.  A file that *shrinks*
     (rotated or truncated by the writer) is picked up again from the
     start instead of silently never matching another record.  Exits when
     the final snapshot arrives, on Ctrl-C, or — with ``--idle-timeout-s``
     — with exit 1 after that many seconds without new data (a follower
     of a dead campaign must not hang forever in CI).
     """
-    import json as _json
     import os as _os
     import time as _time
 
+    from repro.obs import TraceFormatError, decode_line
     from repro.obs.live import render_record_line
 
     offset = 0
@@ -667,17 +664,19 @@ def _obs_follow(args) -> int:
                 if not line:
                     continue
                 try:
-                    record = _json.loads(line)
+                    record = decode_line(line)
+                except TraceFormatError as err:
+                    print(f"cannot read stream {args.file!r}: {err}",
+                          file=sys.stderr)
+                    return 1
                 except ValueError:
                     print("warning: skipped malformed stream line",
                           file=sys.stderr)
                     continue
-                if not isinstance(record, dict):
-                    continue
-                if record.get("type") == "meta":
+                if record["type"] not in ("event", "snapshot"):
                     continue
                 print(render_record_line(record), flush=True)
-                if record.get("type") == "snapshot" and record.get("final"):
+                if record["type"] == "snapshot" and record.get("final"):
                     return 0
             if (args.idle_timeout_s is not None
                     and _time.monotonic() - last_data >= args.idle_timeout_s):
@@ -1224,11 +1223,12 @@ def build_parser() -> argparse.ArgumentParser:
     jf.add_argument("--units", action="store_true",
                     help="also list the salvageable unit keys")
 
-    p = sub.add_parser("trace", help="inspect a recorded trace file")
+    p = sub.add_parser("trace", help="inspect a recorded trace file or "
+                                     "live stream")
     tsub = p.add_subparsers(dest="trace_command", required=True)
     ps = tsub.add_parser("summarize",
-                         help="text summary: phase totals, cache, slowest "
-                              "templates, failure kinds")
+                         help="text summary: phase totals, slowest "
+                              "templates, cache timeline, campaign totals")
     ps.add_argument("file")
     ps.add_argument("--top", type=_positive_int, default=10, metavar="N",
                     help="slowest templates to list")
@@ -1239,12 +1239,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obs", help="live-telemetry and perf-history tools")
     osub = p.add_subparsers(dest="obs_command", required=True)
     ot = osub.add_parser("tail",
-                         help="print or summarize a live NDJSON stream "
-                              "(tolerates the torn tail of a killed run)")
+                         help="print or summarize a live NDJSON stream or "
+                              "trace file (tolerates the torn tail of a "
+                              "killed run)")
     ot.add_argument("file")
     ot.add_argument("--summarize", action="store_true",
-                    help="fold the stream into campaign totals instead of "
-                         "printing per-record lines")
+                    help="print the summary `repro trace summarize` "
+                         "prints instead of per-record lines")
     ot.add_argument("--follow", action="store_true",
                     help="poll the file and print records as they land; "
                          "exits on the final snapshot or Ctrl-C")

@@ -136,9 +136,9 @@ class CompileCache:
         crash compiles afresh.
 
         ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives
-        ``compile.cache_hit``/``compile.cache_miss`` events and counters;
-        cached errors are hits, fresh errors additionally bump
-        ``compile.errors``.
+        ``compile.cache_hit``/``compile.cache_miss`` events; cached errors
+        are hits, fresh errors additionally bump the ``compile.errors``
+        counter.
         """
         k = self.key(source, language, name, compiler.behavior)
         observe = tracer is not None and tracer.enabled
@@ -162,12 +162,10 @@ class CompileCache:
             if observe:
                 tracer.event("compile.cache_hit", template=name,
                              language=language)
-                tracer.metrics.counter("compile.cache_hits").inc()
             return CacheOutcome(program=program, error=error, hit=True)
         if observe:
             tracer.event("compile.cache_miss", template=name,
                          language=language)
-            tracer.metrics.counter("compile.cache_misses").inc()
         cacheable = True
         try:
             entry = (compiler.compile(source, language, name), None)
@@ -183,7 +181,6 @@ class CompileCache:
             if observe:
                 tracer.event("compile.crashed", template=name,
                              language=language, error=repr(err))
-                tracer.metrics.counter("compile.crashes").inc()
             crash = CompilerCrashError(
                 f"internal compiler crash: {err!r}", cause=err
             )

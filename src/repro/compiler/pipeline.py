@@ -80,7 +80,7 @@ class CompiledProgram:
         wins; lowering is pure, so both are interchangeable.
 
         ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives
-        ``lower.cache_hit``/``lower.cache_miss`` events and counters,
+        ``lower.cache_hit``/``lower.cache_miss`` events,
         mirroring the compile cache's ``compile.cache_hit/miss``: a hit
         means a previous phase/iteration (or a compile-cache hit carrying
         the lowering along) already paid the lowering cost.
@@ -90,14 +90,12 @@ class CompiledProgram:
         if lowered is None:
             if observe:
                 tracer.event("lower.cache_miss", template=name or "?")
-                tracer.metrics.counter("lower.cache_misses").inc()
             from repro.compiler.closures import lower_program
 
             lowered = lower_program(self.program)
             self._lowered = lowered
         elif observe:
             tracer.event("lower.cache_hit", template=name or "?")
-            tracer.metrics.counter("lower.cache_hits").inc()
         return lowered
 
     def __getstate__(self):

@@ -70,7 +70,7 @@ class HarnessConfig:
     #: (repro.compiler.closures).  Purely an execution knob — both backends
     #: produce byte-identical reports for the same configuration
     backend: str = "tree"
-    #: live telemetry (repro.obs.live): append a repro.obs.live/v1 NDJSON
+    #: live telemetry (repro.obs.live): append a repro.obs/v2 NDJSON
     #: stream of unit events and campaign snapshots to this file.  Pure
     #: observation — reports stay byte-identical with it on or off
     live_stream: Optional[str] = None

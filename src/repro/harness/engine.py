@@ -220,13 +220,10 @@ def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
     re-fire on re-runs.
     """
     config = runner.config
+    # the run's tracer records these events and forwards them to the live
+    # stream (a pool worker's tracer ships them back to the parent first)
     tracer = runner.tracer
     cancel = getattr(runner, "cancel", None)
-    # live telemetry (repro.obs.live): set by run_suite in the coordinating
-    # process for serial runs; process-pool workers rebuild their
-    # runner without it (sinks live only in the parent), so their retries
-    # surface via the returned results, not live events
-    live = getattr(runner, "live", None)
     unit_key = f"{template.feature}:{template.language}"
     error: Optional[BaseException] = None
     for n in range(config.retries + 1):
@@ -242,22 +239,13 @@ def run_unit_resilient(runner: "ValidationRunner", template: "TestTemplate",
                 # a draining campaign must not sit out a backoff ladder;
                 # the unit is simply not journaled and re-runs on resume
                 cancel.check()
-            if tracer.enabled:
-                tracer.event("engine.retry", template=unit_key,
-                             attempt=attempt, error=repr(err))
-                tracer.metrics.counter("engine.retry").inc()
-            if live is not None:
-                live.event("engine.retry", template=unit_key,
-                           attempt=attempt)
+            tracer.event("engine.retry", template=unit_key,
+                         attempt=attempt, error=repr(err))
             backoff = config.retry_backoff_s * (2 ** n)
             if backoff > 0:
                 runner.sleeper(backoff)
-    if tracer.enabled:
-        tracer.event("engine.harness_error", template=unit_key,
-                     error=repr(error))
-        tracer.metrics.counter("engine.harness_error").inc()
-    if live is not None:
-        live.event("engine.harness_error", template=unit_key)
+    tracer.event("engine.harness_error", template=unit_key,
+                 error=repr(error))
     return harness_error_result(template, error)
 
 
@@ -299,9 +287,11 @@ def _process_worker_init(behavior: "CompilerBehavior", config: HarnessConfig,
                          trace_profile: bool = None) -> None:
     """Pool initializer: build this worker's runner (own compile cache).
 
-    ``trace_profile`` is None when the parent runs untraced; otherwise the
-    worker gets its own :class:`repro.obs.Tracer` with that profile flag,
-    drained back to the parent after every work unit.
+    ``trace_profile`` is None when the parent has no telemetry output;
+    otherwise (a trace, a live stream, or both) the worker gets its own
+    :class:`repro.obs.Tracer` with that profile flag, drained back to the
+    parent after every work unit — which keeps the trace and forwards
+    live-kind events (retries, harness errors) to the stream.
     """
     global _WORKER_RUNNER
     from repro.harness.runner import ValidationRunner
@@ -337,8 +327,8 @@ def _process_run_unit(payload: Tuple[int, "TestTemplate", int]):
 
 class ProcessEngine:
     """A process pool; work units pickle ``(index, template, attempt)`` only
-    and ship back a finished result plus (when tracing) the unit's trace
-    payload.
+    and ship back a finished result plus (when the parent has a trace or a
+    live stream) the unit's trace payload.
 
     Survives worker death: a broken pool is respawned and only the lost
     units are re-submitted (with a bumped attempt number, so injected
@@ -363,7 +353,8 @@ class ProcessEngine:
         cancel.check()
         tracer = runner.tracer
         initargs = (runner.behavior, runner.config,
-                    tracer.profile if tracer.enabled else None)
+                    tracer.profile
+                    if tracer.enabled or tracer.live is not None else None)
         #: template index -> engine-level attempt number
         pending: Dict[int, int] = {i: 0 for i in range(len(templates))}
         done: Dict[int, Tuple["TestResult", str, Optional[dict]]] = {}
@@ -408,16 +399,8 @@ class ProcessEngine:
                     raise
             if broken:
                 pool_deaths += 1
-                if tracer.enabled:
-                    tracer.event("engine.worker_lost",
-                                 lost_units=len(pending),
-                                 pool_deaths=pool_deaths)
-                    tracer.metrics.counter("engine.worker_lost").inc()
-                live = getattr(runner, "live", None)
-                if live is not None:
-                    live.event("engine.worker_lost",
-                               lost_units=len(pending),
-                               pool_deaths=pool_deaths)
+                tracer.event("engine.worker_lost", lost_units=len(pending),
+                             pool_deaths=pool_deaths)
                 pending = {i: attempt + 1 for i, attempt in pending.items()}
         if pending and tracer.enabled:
             tracer.event("engine.serial_fallback", units=len(pending),
@@ -431,7 +414,8 @@ class ProcessEngine:
             if on_complete is not None:
                 on_complete(i, templates[i], result)
         # adopt worker traces in template order so event sequencing is
-        # deterministic; run_suite re-parents the unit roots afterwards
+        # deterministic (live-kind events reach the stream here, before
+        # the final snapshot); run_suite re-parents the unit roots after
         for i in range(len(templates)):
             _, worker, trace_payload = done[i]
             if trace_payload is not None:
@@ -469,34 +453,29 @@ def build_metrics(
     workers: int,
     outcomes: EngineOutcomes,
 ) -> RunMetrics:
-    """Fold per-phase instrumentation into one :class:`RunMetrics`.
+    """Fold per-unit results into one :class:`RunMetrics`.
 
-    Cache counters come from the per-phase ``cache_hit`` flags carried in
-    the results, so they are exact under every policy — including process
-    pools, where each worker holds a private cache whose own counters never
-    leave the worker.
+    The totals are the :class:`~repro.obs.live.ProgressTally` fold of each
+    unit's :func:`~repro.obs.live.unit_fields` — the fold a trace or live
+    stream of the run gets — so report and telemetry reconcile by
+    construction.  Cache counters come from the per-phase ``cache_hit``
+    flags carried in the results, so they are exact under every policy —
+    including process pools, where each worker holds a private cache whose
+    own counters never leave the worker.
     """
+    from repro.obs.live import ProgressTally, unit_fields
+
     metrics = RunMetrics(policy=policy, workers=workers,
                          wall_s=report.elapsed_s, templates=len(report.results))
-    for result, worker in outcomes:
+    tally = ProgressTally()
+    for index, (result, worker) in enumerate(outcomes):
         busy = metrics.worker_busy_s.setdefault(worker, 0.0)
         metrics.worker_busy_s[worker] = busy + result.elapsed_s
-        for phase in (result.functional, result.cross):
-            if (
-                phase is None
-                or phase.harness_error is not None
-                or phase.static_error is not None
-            ):
-                # the unit never reached the compiler: charging a cache
-                # miss or phase timings would skew the real counters
-                continue
-            metrics.compile_s += phase.compile_s
-            metrics.execute_s += phase.run_s
-            metrics.iterations_run += len(phase.iterations)
-            if phase.cache_hit:
-                metrics.cache_hits += 1
-            else:
-                metrics.cache_misses += 1
+        tally.fold_unit(unit_fields(index, "", result))
+    metrics.compile_s, metrics.execute_s = tally.compile_s, tally.execute_s
+    metrics.iterations_run = tally.iterations_run
+    metrics.cache_hits = tally.compile_cache_hits
+    metrics.cache_misses = tally.compile_cache_misses
     for kind, count in report.by_failure_kind().items():
         metrics.failure_kinds[kind.value] = count
     return metrics

@@ -37,7 +37,7 @@ from repro.compiler.cache import CompileCache
 from repro.faults import FaultInjector, FaultyCompiler, NULL_INJECTOR
 from repro.harness.config import HarnessConfig
 from repro.harness.stats import certainty
-from repro.obs import NULL_TRACER
+from repro.obs import NULL_TRACER, LiveTelemetry, NullTracer
 from repro.suite.registry import SuiteRegistry
 from repro.templates import TestTemplate, generate_cross, generate_functional
 
@@ -269,11 +269,12 @@ class ValidationRunner:
         self.cache = cache
         #: a repro.obs.Tracer; the default NULL_TRACER records nothing
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: a repro.obs.live.LiveTelemetry pipeline, or None.  Deliberately
-        #: NOT auto-built here from the config's live knobs: process-pool
-        #: workers rebuild a runner from the same config, and sinks (stream
-        #: files, .prom writers) must only ever be opened by the
-        #: coordinating process — run_suite builds them when needed
+        #: a repro.obs.live.LiveTelemetry pipeline, or None; run_suite
+        #: binds it to the run's tracer.  Deliberately NOT auto-built here
+        #: from the config's live knobs: process-pool workers rebuild a
+        #: runner from the same config, and sinks (stream files, .prom
+        #: writers) must only ever be opened by the coordinating process —
+        #: run_suite builds them when needed
         self.live = live
         #: the campaign's repro.harness.engine.CancelToken while run_suite
         #: is executing (the retry layer polls it between attempts); None
@@ -390,25 +391,24 @@ class ValidationRunner:
         report = SuiteRunReport(
             compiler_label=self.behavior.label, config=config
         )
-        tracer = self.tracer
 
         # -- live telemetry: build the sink pipeline the config asks for.
         # Only here, never in __init__ — process-pool workers construct a
         # runner from this same config, and only the coordinating process
         # may open the stream/prom sinks.
-        live = self.live
-        owns_live = False
-        if live is None and config.live_enabled:
-            from repro.obs.live import LiveTelemetry
-
-            live = LiveTelemetry.from_config(config)
-            owns_live = live is not None
+        owns_live = self.live is None and config.live_enabled
+        live = LiveTelemetry.from_config(config) if owns_live else self.live
+        # campaign records belong to the run that owns the campaign: a
+        # traced run nested in an open span of its tracer (a Titan node
+        # check) is one unit of an enclosing campaign that records its own
+        records = live is not None or (self.tracer.enabled
+                                       and self.tracer.current() is None)
 
         # -- journal replay: partition into replayed and still-pending units
         replayed: Dict[int, TestResult] = {}
         on_complete = None
         keys: Optional[List[str]] = None
-        if journal is not None or live is not None:
+        if journal is not None or records:
             from repro.journal import unit_keys
 
             keys = unit_keys(templates)
@@ -419,9 +419,8 @@ class ValidationRunner:
                 payload = journal.get(key)
                 if payload is not None:
                     replayed[i] = decode_result(payload, template)
-            if replayed and tracer.enabled:
-                tracer.event("journal.replayed", units=len(replayed))
-                tracer.metrics.counter("journal.replayed").inc(len(replayed))
+            if replayed and self.tracer.enabled:
+                self.tracer.event("journal.replayed", units=len(replayed))
             pending_keys = [keys[i] for i in range(len(templates))
                             if i not in replayed]
 
@@ -430,44 +429,24 @@ class ValidationRunner:
 
             on_complete = journal_complete
 
-        if live is not None:
-            if live.began:
-                live.extend_total(len(templates))
-            else:
-                live.begin(
-                    total_units=len(templates), replayed=len(replayed),
-                    compiler=self.behavior.label,
-                    policy=config.policy, workers=config.workers,
-                    backend=config.backend,
-                )
-            # replayed units count toward progress immediately, marked so
-            for i in sorted(replayed):
-                live.unit(i, keys[i], replayed[i],
-                          backend=config.backend, replayed=True)
-            pending_indices = [i for i in range(len(templates))
-                               if i not in replayed]
-            journal_cb = on_complete
-
-            def live_complete(index, template, result):
-                if journal_cb is not None:
-                    # journal first: durability before observation, so a
-                    # torn journal append never loses the fsync'd record
-                    journal_cb(index, template, result)
-                i = pending_indices[index]
-                live.unit(i, keys[i], result,
-                          backend=config.backend, replayed=False)
-
-            on_complete = live_complete
-
-        pending = [templates[i] for i in range(len(templates))
-                   if i not in replayed]
-        # expose the live pipeline and the cancel token to the retry layer
-        # for the duration of the run (engine.retry / engine.worker_lost
-        # events; prompt drain out of a backoff ladder)
-        self.live = live
+        # -- bind the pipeline to this run's tracer (an untraced run gets a
+        # NullTracer of its own for that); the retry layer and the engines
+        # read self.tracer, so it is swapped for the run's duration
+        outer = self.tracer
+        if outer.enabled:
+            tracer, outer_live = outer, outer.live
+            tracer.live = live
+        else:
+            tracer = NullTracer(live) if live is not None else NULL_TRACER
+        self.tracer = tracer
         previous_cancel = self.cancel
         self.cancel = cancel
         try:
+            if records:
+                on_complete = self._record_campaign(
+                    tracer, live, templates, keys, replayed, on_complete)
+            pending = [templates[i] for i in range(len(templates))
+                       if i not in replayed]
             with tracer.span(
                 "run", key=self.behavior.label,
                 policy=engine.policy, workers=engine.workers,
@@ -480,13 +459,14 @@ class ValidationRunner:
             # interrupted (drain, injected tear, Ctrl-C): finalize the
             # sinks with a non-report final snapshot so the stream is
             # readable and the .prom file reflects the last known state
-            if owns_live and live is not None:
+            if owns_live:
                 live.end(None)
             raise
         finally:
             self.cancel = previous_cancel
-            if owns_live:
-                self.live = None
+            self.tracer = outer
+            if outer.enabled:
+                outer.live = outer_live
         # spans adopted from worker processes have no parent: stitch them
         # under this run's root
         tracer.reparent_orphans(root)
@@ -505,7 +485,7 @@ class ValidationRunner:
         report.metrics = build_metrics(
             report, engine.policy, engine.workers, outcomes
         )
-        if owns_live and live is not None:
+        if owns_live:
             # the final snapshot embeds the authoritative RunMetrics block:
             # integer tallies folded from the stream reconcile exactly, and
             # readers take the float timings from here (float summation
@@ -523,6 +503,41 @@ class ValidationRunner:
                 report.metrics.worker_utilization
             )
         return report
+
+    def _record_campaign(self, tracer, live, templates, keys, replayed,
+                         on_complete):
+        """Emit ``campaign.start`` (``campaign.extend`` when ``live``
+        already carries a campaign) and the replayed units; returns the
+        completion callback recording each fresh unit after
+        ``on_complete`` (the journal: durability before observation)."""
+        from repro.obs.live import unit_fields
+
+        config = self.config
+        if live is not None and live.began:
+            tracer.event("campaign.extend", units=len(templates))
+        else:
+            meta = dict(compiler=self.behavior.label, policy=config.policy,
+                        workers=config.workers, backend=config.backend)
+            if live is not None:
+                live.begin(**meta)
+            tracer.event("campaign.start", total_units=len(templates),
+                         replayed=len(replayed), **meta)
+        # replayed units count toward progress immediately, marked so
+        for i in sorted(replayed):
+            tracer.event("unit.finished", **unit_fields(
+                i, keys[i], replayed[i], backend=config.backend,
+                replayed=True))
+        pending_indices = [i for i in range(len(templates))
+                           if i not in replayed]
+
+        def record_complete(index, template, result):
+            if on_complete is not None:
+                on_complete(index, template, result)
+            i = pending_indices[index]
+            tracer.event("unit.finished", **unit_fields(
+                i, keys[i], result, backend=config.backend))
+
+        return record_complete
 
     # -------------------------------------------------------------- internals
 
@@ -659,7 +674,6 @@ class ValidationRunner:
         metrics.counter("iterations.run").inc()
         metrics.histogram("iteration.steps").observe(outcome.steps)
         if not outcome.ok:
-            metrics.counter("iterations.failed").inc()
             self.tracer.event(
                 "iteration.failed", template=pkey, seed=seed,
                 kind=outcome.kind.value if outcome.kind is not None else None,

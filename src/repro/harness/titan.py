@@ -27,7 +27,8 @@ from repro.compiler import CompilerBehavior
 from repro.harness.config import HarnessConfig
 from repro.harness.engine import CancelToken
 from repro.harness.runner import FailureKind, SuiteRunReport, ValidationRunner
-from repro.obs import NULL_TRACER
+from repro.obs import NULL_TRACER, LiveTelemetry, NullTracer
+from repro.obs.live import unit_fields
 from repro.spec.devices import ACC_DEVICE_NVIDIA, ACC_DEVICE_OPENCL
 from repro.suite.registry import SuiteRegistry
 
@@ -195,13 +196,12 @@ class TitanHarness:
         # production sweeps favour quick turnaround: 1 iteration, no cross
         self.config = config or HarnessConfig(iterations=1, run_cross=False)
         #: a repro.obs.live.LiveTelemetry pipeline publishing one unit per
-        #: node/stack check.  Built from the config's live knobs when not
-        #: injected — and the knobs are then *stripped* from the config
-        #: handed to the inner per-check ValidationRunners, so each inner
-        #: run_suite does not open its own competing sinks
-        if live is None and self.config.live_enabled:
-            from repro.obs.live import LiveTelemetry
-
+        #: node/stack check, bound to this harness's tracer.  Built from
+        #: the config's live knobs when not injected — and the knobs are
+        #: then *stripped* from the config handed to the inner per-check
+        #: ValidationRunners, so each inner run_suite does not open its own
+        #: competing sinks
+        if live is None:
             live = LiveTelemetry.from_config(self.config)
         if self.config.live_enabled:
             self.config = replace(self.config, live_stream=None,
@@ -209,8 +209,20 @@ class TitanHarness:
         self.live = live
         if feature_prefixes is not None:
             self.config.feature_prefixes = feature_prefixes
-        #: a repro.obs.Tracer shared by every node check of this harness
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: a repro.obs.Tracer shared by every node check of this harness;
+        #: it carries ``live`` (an untraced harness with live telemetry
+        #: gets its own NullTracer for that), so every event is emitted
+        #: once, through it
+        tracer = tracer if tracer is not None else NULL_TRACER
+        if live is not None:
+            if not tracer.enabled:
+                tracer = NullTracer()
+            tracer.live = live
+        self.tracer = tracer
+        #: campaign records emitted so far: the campaign.start flag and the
+        #: next unit.finished index (one unit per node/stack check)
+        self._started = False
+        self._units = 0
         #: times a flagged node/stack is re-checked before quarantining
         self.recheck = max(0, recheck)
         #: node id -> QuarantineRecord for persistently flagged nodes
@@ -271,13 +283,10 @@ class TitanHarness:
             if payload is not None:
                 from repro.journal import decode_check
 
-                if self.tracer.enabled:
-                    self.tracer.metrics.counter("journal.replayed").inc()
                 check = decode_check(payload, self._templates_by_key(),
                                      config or self.config)
-                if self.live is not None:
-                    # replayed checks count toward progress, marked so
-                    self.live.check(unit, check, replayed=True)
+                # replayed checks count toward progress, marked so
+                self._record_check(unit, check, replayed=True)
                 return check
         runner = ValidationRunner(node.stacks[stack],
                                   config or self.config,
@@ -291,17 +300,33 @@ class TitanHarness:
             from repro.journal import encode_check
 
             self.journal.append(unit, encode_check(check))
-        if self.live is not None:
-            self.live.check(unit, check)
+        self._record_check(unit, check)
         if self.tracer.enabled:
             self.tracer.metrics.counter("titan.checks").inc()
             if check.flagged:
-                self.tracer.metrics.counter("titan.flagged").inc()
                 self.tracer.event(
                     "titan.node_flagged", node=node.node_id, stack=stack,
                     healthy=node.healthy, pass_rate=check.pass_rate,
                 )
         return check
+
+    def _record_check(self, unit: str, check: StackCheck,
+                      replayed: bool = False) -> None:
+        """Emit one finished node/stack check as a ``unit.finished``."""
+        report = check.report
+        self.tracer.event(
+            "unit.finished",
+            unit=unit, index=self._units,
+            replayed=replayed, backend=str(report.config.backend),
+            passed=not check.flagged, failure_kind=None,
+            elapsed_s=report.elapsed_s,
+            iterations=sum(unit_fields(0, "", r)["iterations"]
+                           for r in report.results),
+            node=check.node_id, stack=check.stack, healthy=check.healthy,
+            pass_rate=check.pass_rate,
+            harness_error_units=check.harness_errors,
+        )
+        self._units += 1
 
     def sweep(self, sample_size: int, seed: int = 0,
               stacks: Sequence[str] = (STACK_CUDA, STACK_OPENCL)) -> List[StackCheck]:
@@ -315,13 +340,16 @@ class TitanHarness:
         eligible = [n for n in self.cluster.nodes
                     if n.node_id not in self.quarantined]
         sample = rng.sample(eligible, min(sample_size, len(eligible)))
-        if self.live is not None:
-            if not self.live.began:
-                self.live.begin(total_units=0, command="titan",
-                                nodes=len(self.cluster.nodes))
-            # a sweep's unit total is known the moment the sample is drawn;
-            # triage re-checks and recovery probes extend it as they happen
-            self.live.extend_total(len(sample) * len(stacks))
+        if not self._started:
+            self._started = True
+            meta = dict(command="titan", nodes=len(self.cluster.nodes))
+            if self.live is not None:
+                self.live.begin(**meta)
+            self.tracer.event("campaign.start", total_units=0, replayed=0,
+                              **meta)
+        # a sweep's unit total is known the moment the sample is drawn;
+        # triage re-checks and recovery probes extend it as they happen
+        self.tracer.event("campaign.extend", units=len(sample) * len(stacks))
         checks: List[StackCheck] = []
         with self.tracer.span("titan.sweep", key=f"seed={seed}",
                               sample=len(sample)) as span:
@@ -372,8 +400,7 @@ class TitanHarness:
                 self.cancel.check()
                 if self.tracer.enabled:
                     self.tracer.metrics.counter("titan.rechecks").inc()
-                if self.live is not None:
-                    self.live.extend_total(1)
+                self.tracer.event("campaign.extend", units=1)
                 again = self.check_node(
                     node, check.stack,
                     config=self._recheck_config(r + 1),
@@ -389,20 +416,14 @@ class TitanHarness:
                             f"{check.harness_errors} harness errors"),
                 )
                 quarantined += 1
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "titan.quarantined", node=check.node_id,
-                        stack=check.stack, healthy=check.healthy,
-                        harness_errors=check.harness_errors,
-                    )
-                    self.tracer.metrics.counter("titan.quarantined").inc()
-                if self.live is not None:
-                    self.live.event("titan.quarantined", node=check.node_id,
-                                    stack=check.stack)
+                self.tracer.event(
+                    "titan.quarantined", node=check.node_id,
+                    stack=check.stack, healthy=check.healthy,
+                    harness_errors=check.harness_errors,
+                )
             elif self.tracer.enabled:
                 self.tracer.event("titan.flag_transient", node=check.node_id,
                                   stack=check.stack)
-                self.tracer.metrics.counter("titan.transient").inc()
         return quarantined
 
     def probe_quarantined(self, epoch: int = 0) -> List[int]:
@@ -413,25 +434,20 @@ class TitanHarness:
         for node_id, record in sorted(self.quarantined.items()):
             self.cancel.check()
             record.probes += 1
-            if self.live is not None:
-                self.live.extend_total(1)
-            check = self.check_node(
-                nodes_by_id[node_id], record.stack,
-                config=self._recheck_config(self.recheck + 1 + epoch),
-                unit=f"probe{epoch}:node{node_id}:{record.stack}",
-            )
-            if self.tracer.enabled:
-                self.tracer.metrics.counter("titan.probes").inc()
+            self.tracer.event("campaign.extend", units=1)
+            # the span nests the probe's inner run under this campaign
+            with self.tracer.span("titan.probe",
+                                  key=f"node{node_id}:{record.stack}",
+                                  epoch=epoch):
+                check = self.check_node(
+                    nodes_by_id[node_id], record.stack,
+                    config=self._recheck_config(self.recheck + 1 + epoch),
+                    unit=f"probe{epoch}:node{node_id}:{record.stack}",
+                )
             if not check.flagged:
                 recovered.append(node_id)
-                if self.tracer.enabled:
-                    self.tracer.event("titan.recovered", node=node_id,
-                                      stack=record.stack,
-                                      probes=record.probes)
-                    self.tracer.metrics.counter("titan.recovered").inc()
-                if self.live is not None:
-                    self.live.event("titan.recovered", node=node_id,
-                                    stack=record.stack)
+                self.tracer.event("titan.recovered", node=node_id,
+                                  stack=record.stack, probes=record.probes)
         for node_id in recovered:
             del self.quarantined[node_id]
         return recovered

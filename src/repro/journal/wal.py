@@ -246,7 +246,6 @@ class JournalWriter:
             if loaded.torn_bytes:
                 tracer.event("journal.torn_tail", path=path,
                              dropped_bytes=loaded.torn_bytes)
-                tracer.metrics.counter("journal.torn_tail").inc()
             tracer.event("journal.resumed", path=path,
                          generation=generation, units=len(writer.records))
         return writer
@@ -290,4 +289,3 @@ class JournalWriter:
             self.records[unit] = payload
         if self.tracer.enabled:
             self.tracer.event("journal.append", unit=unit)
-            self.tracer.metrics.counter("journal.appends").inc()

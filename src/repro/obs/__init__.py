@@ -1,19 +1,26 @@
-"""Observability: structured tracing, event log and metrics (``repro.obs``).
+"""Observability: one telemetry record model (``repro.obs``).
 
 The harness is as much bookkeeping as testing — per-run reports, bug
 analyses and Titan's longitudinal tracking all depend on knowing what
-happened *inside* a run.  This package supplies that layer:
+happened *inside* a run.  This package supplies that layer around one
+record model, ``repro.obs/v2``: a trace file (written after the run) and a
+live stream (written as it runs) are two views of the same records, and
+each observable fact is emitted by one call, :meth:`Tracer.event`.
 
 * :mod:`~repro.obs.trace` — span-based tracer with deterministic IDs,
-  worker marshalling (process pools) and a zero-overhead null mode;
+  worker marshalling (process pools), a zero-overhead null mode, and the
+  one emitter: events of the :data:`LIVE_KINDS` are forwarded to the run's
+  live pipeline;
 * :mod:`~repro.obs.metrics` — counter/gauge/histogram primitives;
-* :mod:`~repro.obs.sink` — JSONL serialization and the trace reader;
-* :mod:`~repro.obs.summary` — ``repro trace summarize`` aggregation;
+* :mod:`~repro.obs.sink` — JSONL serialization and the one reader for
+  trace files and live streams alike;
+* :mod:`~repro.obs.summary` — the one summary behind ``repro trace
+  summarize`` and ``repro obs tail --summarize``;
 * :mod:`~repro.obs.dashboard` — standalone HTML trace/metrics and
   perf-trajectory dashboards;
-* :mod:`~repro.obs.live` — live campaign telemetry: bounded in-process
-  event bus, progress snapshots, NDJSON stream / TTY status / Prometheus
-  textfile sinks, and the ``repro obs tail`` reader.
+* :mod:`~repro.obs.live` — live campaign telemetry: the unit-event tally,
+  progress snapshots and the NDJSON stream / TTY status / Prometheus
+  textfile sinks.
 
 Tracing is opt-in: everything runs against :data:`NULL_TRACER` unless a
 real :class:`Tracer` is injected (CLI ``--trace``/``--profile``).  Live
@@ -30,6 +37,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (
     Event,
+    LIVE_KINDS,
     NULL_TRACER,
     NullTracer,
     Span,
@@ -38,6 +46,8 @@ from repro.obs.trace import (
 )
 from repro.obs.sink import (
     TraceData,
+    TraceFormatError,
+    decode_line,
     parse_trace,
     read_trace,
     trace_to_jsonl,
@@ -46,31 +56,26 @@ from repro.obs.sink import (
 from repro.obs.summary import TraceSummary, render_summary_text, summarize_trace
 from repro.obs.dashboard import render_perf_html, render_trace_html
 from repro.obs.live import (
-    LIVE_FORMAT,
-    LiveStream,
     LiveTelemetry,
     NDJSONStreamSink,
     PrometheusSink,
     ProgressTally,
     SnapshotReporter,
     StatusLineSink,
-    TelemetryBus,
     lint_prometheus,
-    parse_live,
-    read_live,
     render_prometheus,
     render_status_line,
-    render_tally_text,
 )
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NULL_METRICS",
-    "Event", "NULL_TRACER", "NullTracer", "Span", "TRACE_FORMAT", "Tracer",
-    "TraceData", "parse_trace", "read_trace", "trace_to_jsonl", "write_trace",
+    "Event", "LIVE_KINDS", "NULL_TRACER", "NullTracer", "Span",
+    "TRACE_FORMAT", "Tracer",
+    "TraceData", "TraceFormatError", "decode_line", "parse_trace",
+    "read_trace", "trace_to_jsonl", "write_trace",
     "TraceSummary", "render_summary_text", "summarize_trace",
     "render_trace_html", "render_perf_html",
-    "LIVE_FORMAT", "LiveStream", "LiveTelemetry", "NDJSONStreamSink",
-    "PrometheusSink", "ProgressTally", "SnapshotReporter", "StatusLineSink",
-    "TelemetryBus", "lint_prometheus", "parse_live", "read_live",
-    "render_prometheus", "render_status_line", "render_tally_text",
+    "LiveTelemetry", "NDJSONStreamSink", "PrometheusSink", "ProgressTally",
+    "SnapshotReporter", "StatusLineSink", "lint_prometheus",
+    "render_prometheus", "render_status_line",
 ]

@@ -31,15 +31,16 @@ def render_trace_html(trace: TraceData, top: int = 20,
                       event_limit: int = 50) -> str:
     """Render a parsed trace as a standalone HTML dashboard."""
     summary: TraceSummary = summarize_trace(trace, top=top)
+    events = trace.events()
     title = str(trace.meta.get("command", "trace"))
 
     tiles = "".join([
         _tile("wall time", f"{summary.wall_s:.3f} s"),
         _tile("compile (sum)", f"{summary.compile_s:.3f} s"),
         _tile("execute (sum)", f"{summary.execute_s:.3f} s"),
-        _tile("cache hit rate", f"{summary.cache_hit_rate:.1%}"),
+        _tile("cache hit rate", f"{summary.tally.compile_cache_hit_rate:.1%}"),
         _tile("spans", str(len(trace.spans))),
-        _tile("events", str(len(trace.events))),
+        _tile("events", str(len(events))),
     ])
 
     phase_rows: List[str] = []
@@ -87,12 +88,12 @@ def render_trace_html(trace: TraceData, top: int = 20,
         )
 
     event_rows: List[str] = []
-    for event in trace.events[:event_limit]:
+    for event in events[:event_limit]:
         fields = ", ".join(
             f"{_esc(k)}={_esc(v)}" for k, v in sorted(event.fields.items())
         )
         event_rows.append(
-            f"<tr><td class='n'>{event.seq}</td><td>{_esc(event.name)}</td>"
+            f"<tr><td class='n'>{event.seq}</td><td>{_esc(event.kind)}</td>"
             f"<td>{_esc(event.span_id or '')}</td><td>{fields}</td></tr>"
         )
 
@@ -138,7 +139,7 @@ def render_trace_html(trace: TraceData, top: int = 20,
 <tr><th>name</th><th>kind</th><th colspan='4'>value</th></tr>
 {chr(10).join(metric_rows)}
 </table>
-<h2>Events (first {min(event_limit, len(trace.events))} of {len(trace.events)})</h2>
+<h2>Events (first {min(event_limit, len(events))} of {len(events)})</h2>
 <table>
 <tr><th>#</th><th>event</th><th>span</th><th>fields</th></tr>
 {chr(10).join(event_rows)}

@@ -1,35 +1,30 @@
 """Live campaign telemetry (``repro.obs.live``).
 
-PR 2's tracer records a run and writes the trace *afterwards*; a week-long
-campaign needs observability *during* the run.  This module is that layer:
+A trace is written *after* a run; a week-long campaign needs
+observability *during* it.  A live stream is the second view of the one
+``repro.obs/v2`` record model: the run's tracer forwards the event kinds
+in :data:`~repro.obs.trace.LIVE_KINDS` here as they happen.
 
-* :class:`TelemetryBus` — a bounded, thread-safe in-process event bus.
-  Engines publish typed records from the per-unit completion callbacks
-  (the same coordinating-thread hook the journal uses), the bus keeps the
-  most recent ``capacity`` records for in-process consumers (the future
-  campaign server's clients) and fans every record out to the attached
-  sinks.  Publishing never blocks on a full buffer: the oldest record is
-  dropped and counted, so telemetry can never stall a campaign.
 * :class:`ProgressTally` — the pure fold from unit events to campaign
-  totals, shared by the live reporter and ``repro obs tail --summarize``
-  so the stream and the final report reconcile by construction.
-* :class:`SnapshotReporter` — periodically folds the tally (plus an
-  optional :class:`~repro.obs.metrics.MetricsRegistry` snapshot) into a
+  totals, shared by the live reporter, the offline summary and the
+  report's ``RunMetrics``, so all three reconcile by construction.
+* :class:`SnapshotReporter` — periodically folds the tally into a
   campaign snapshot: progress fraction, ETA, units/sec, per-phase
   pass/fail/harness-error counts, compile- and lowering-cache hit rates,
   retry/quarantine counts and per-backend timing histograms.
-* Three sinks — :class:`NDJSONStreamSink` (append-only ``repro.obs.live/v1``
-  stream, one flushed line per record so a reader tailing the file sees at
-  worst one torn final line; the final snapshot is *also* written
-  atomically to ``<path>.snapshot.json`` via :mod:`repro.ioutil`),
+* Three sinks — :class:`NDJSONStreamSink` (append-only stream, one
+  flushed line per record so a reader tailing the file sees at worst one
+  torn final line; the final snapshot is *also* written atomically to
+  ``<path>.snapshot.json`` via :mod:`repro.ioutil`),
   :class:`StatusLineSink` (a TTY status line for interactive runs) and
   :class:`PrometheusSink` (a textfile-exporter ``*.prom`` file rewritten
   atomically on every snapshot).
-* :class:`LiveTelemetry` — the campaign-scoped pipeline object wired
-  through :class:`~repro.harness.runner.ValidationRunner` and
-  :class:`~repro.harness.titan.TitanHarness`, built from
-  :class:`~repro.harness.config.HarnessConfig` knobs
-  (``live_stream``/``status``/``prom``) or CLI flags.
+* :class:`LiveTelemetry` — the campaign-scoped pipeline: it stamps each
+  record's ``seq`` and fans it out to the sinks under one lock.  Built
+  from :class:`~repro.harness.config.HarnessConfig` knobs
+  (``live_stream``/``status``/``prom``) and bound to the run's tracer by
+  :class:`~repro.harness.runner.ValidationRunner` and
+  :class:`~repro.harness.titan.TitanHarness`.
 
 Telemetry *observes* a run and never changes it: suite reports are
 byte-identical with live telemetry enabled or disabled, under every
@@ -44,80 +39,15 @@ import re
 import sys
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.ioutil import atomic_write_text
+from repro.obs.trace import TRACE_FORMAT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.config import HarnessConfig
     from repro.harness.runner import SuiteRunReport, TestResult
-
-#: format tag written into the stream's meta record, checked by the reader
-LIVE_FORMAT = "repro.obs.live/v1"
-
-#: default bounded-buffer capacity of the bus
-DEFAULT_CAPACITY = 4096
-
-
-# ---------------------------------------------------------------------------
-# the bus
-# ---------------------------------------------------------------------------
-
-
-class TelemetryBus:
-    """Bounded, thread-safe event bus with attached sinks.
-
-    Records are plain JSON-safe dicts carrying a ``type`` (``meta``,
-    ``event`` or ``snapshot``) and a monotonically increasing ``seq``.
-    The bus keeps the newest :attr:`capacity` records for in-process
-    consumers and forwards every record to each subscribed sink under the
-    bus lock — sinks therefore never need their own locking, and record
-    order is total.  When the buffer is full the *oldest* buffered record
-    is evicted (sinks already streamed it) and :attr:`dropped` counts the
-    eviction, so a runaway campaign can never grow the buffer unboundedly.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.dropped = 0
-        self._records: deque = deque()
-        self._sinks: List[object] = []
-        self._lock = threading.RLock()
-        self._seq = 0
-
-    def subscribe(self, sink) -> None:
-        """Attach a sink (an object with ``emit(record)``)."""
-        with self._lock:
-            self._sinks.append(sink)
-
-    def publish(self, kind: str, **fields) -> dict:
-        """Publish one typed event; returns the stamped record."""
-        return self.publish_record(
-            {"type": "event", "kind": kind, "fields": fields}
-        )
-
-    def publish_record(self, record: dict) -> dict:
-        """Publish a pre-built record (snapshots, meta headers)."""
-        with self._lock:
-            record = dict(record)
-            record["seq"] = self._seq
-            self._seq += 1
-            if len(self._records) >= self.capacity:
-                self._records.popleft()
-                self.dropped += 1
-            self._records.append(record)
-            for sink in self._sinks:
-                sink.emit(record)
-        return record
-
-    def records(self) -> List[dict]:
-        """Snapshot of the currently buffered records (newest-capacity)."""
-        with self._lock:
-            return list(self._records)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +59,11 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
                 backend: str = "tree", replayed: bool = False) -> dict:
     """The JSON-safe fields of one ``unit.finished`` event.
 
-    Phase accounting mirrors :func:`repro.harness.engine.build_metrics`
-    exactly — phases that never reached the compiler (harness or static
-    errors) contribute no iterations, timings or cache flags — so a tally
-    folded from these events reconciles with the report's
-    :class:`~repro.harness.engine.RunMetrics` without slack.
+    The one phase-accounting rule: phases that never reached the compiler
+    (harness or static errors) contribute no iterations, timings or cache
+    flags.  :func:`repro.harness.engine.build_metrics` folds these same
+    fields into the report's :class:`~repro.harness.engine.RunMetrics`, so
+    a tally folded from the events reconciles with it without slack.
     """
     kind = result.failure_kind
     fields = {
@@ -181,7 +111,7 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
 
 @dataclass
 class ProgressTally:
-    """Campaign totals folded from bus events.
+    """Campaign totals folded from campaign and unit events.
 
     Every field only ever increases (or is set once, for ``total_units``),
     which is what makes snapshot progress monotone.  The same fold backs
@@ -231,7 +161,7 @@ class ProgressTally:
         return self.lower_cache_hits / total if total else 0.0
 
     def fold(self, record: dict) -> None:
-        """Fold one bus record; snapshots and unknown kinds are ignored."""
+        """Fold one event record; snapshots and other kinds are ignored."""
         if record.get("type") != "event":
             return
         kind = record.get("kind")
@@ -241,7 +171,7 @@ class ProgressTally:
         elif kind == "campaign.extend":
             self.total_units += int(fields.get("units", 0))
         elif kind == "unit.finished":
-            self._fold_unit(fields)
+            self.fold_unit(fields)
         elif kind == "engine.retry":
             self.retries += 1
         elif kind == "engine.worker_lost":
@@ -251,7 +181,8 @@ class ProgressTally:
         elif kind == "titan.recovered":
             self.recovered += 1
 
-    def _fold_unit(self, fields: dict) -> None:
+    def fold_unit(self, fields: dict) -> None:
+        """Fold one ``unit.finished`` event's fields."""
         self.units_done += 1
         if fields.get("replayed"):
             self.replayed += 1
@@ -342,8 +273,7 @@ class SnapshotReporter:
         return True
 
     def snapshot(self, final: bool = False,
-                 metrics: Optional[dict] = None,
-                 dropped: int = 0) -> dict:
+                 metrics: Optional[dict] = None) -> dict:
         """Build one snapshot record from the current tally.
 
         ``metrics`` is an optional authoritative
@@ -400,30 +330,10 @@ class SnapshotReporter:
                 for backend, (c, s, lo, hi)
                 in sorted(t.backend_timing.items())
             },
-            "dropped_events": dropped,
         }
         if metrics is not None:
             record["run_metrics"] = metrics
         return record
-
-
-def run_metrics_fields(report: "SuiteRunReport") -> Optional[dict]:
-    """The authoritative RunMetrics block of a final snapshot."""
-    m = report.metrics
-    if m is None:
-        return None
-    return {
-        "policy": m.policy,
-        "workers": m.workers,
-        "wall_s": m.wall_s,
-        "compile_s": m.compile_s,
-        "execute_s": m.execute_s,
-        "templates": m.templates,
-        "iterations_run": m.iterations_run,
-        "cache_hits": m.cache_hits,
-        "cache_misses": m.cache_misses,
-        "failure_kinds": dict(sorted(m.failure_kinds.items())),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +342,15 @@ def run_metrics_fields(report: "SuiteRunReport") -> Optional[dict]:
 
 
 class NDJSONStreamSink:
-    """Append-only NDJSON stream file (``repro.obs.live/v1``).
+    """Append-only NDJSON stream file (``repro.obs/v2`` records).
 
     Every record is one ``json.dumps`` line, written and flushed
     immediately — an observer tailing the file sees completed lines plus at
     most one torn final line if the writer is killed mid-write, which the
-    tolerant reader (:func:`parse_live`) skips and counts.  On close, the
-    final snapshot is appended to the stream *and* written atomically to
-    ``<path>.snapshot.json`` so dashboards polling for the end state never
-    see a partial file.
+    tolerant reader (:func:`repro.obs.sink.parse_trace`) skips and counts.
+    On close, the final snapshot is appended to the stream *and* written
+    atomically to ``<path>.snapshot.json`` so dashboards polling for the
+    end state never see a partial file.
     """
 
     def __init__(self, path: str):
@@ -639,9 +549,6 @@ def render_prometheus(snapshot: dict) -> str:
            [("", None, snapshot.get("eta_s"))])
     family("wall_seconds", "gauge", "Campaign wall-clock seconds so far.",
            [("", None, snapshot.get("wall_s", 0.0))])
-    family("events_dropped_total", "counter",
-           "Bus records evicted from the bounded in-process buffer.",
-           [("", None, snapshot.get("dropped_events", 0))])
     return "\n".join(out) + "\n"
 
 
@@ -752,48 +659,46 @@ class PrometheusSink:
 
 
 class LiveTelemetry:
-    """Bus + tally + reporter + sinks for one campaign.
+    """Tally + reporter + sinks for one campaign.
 
-    The engines' per-unit completion callbacks (coordinating thread) are
-    the publishing hook for unit events; the retry layer publishes from
-    worker threads, serialized by the bus lock.  Closing is idempotent and
+    Records reach it through the run's tracer (:meth:`event`, called by
+    :meth:`repro.obs.Tracer.event` for live kinds) from the engines'
+    completion callbacks and, for retries, from worker threads; one lock
+    serializes sequencing, folding and fan-out, so sinks never need their
+    own locking and record order is total.  Closing is idempotent and
     always finalizes the sinks with a final snapshot, even when the
     campaign is interrupted mid-run (graceful drain, injected faults).
     """
 
     def __init__(self, sinks: Sequence[object],
                  every_units: int = 1, min_interval_s: float = 0.0,
-                 clock: Callable[[], float] = time.monotonic,
-                 capacity: int = DEFAULT_CAPACITY):
-        self.bus = TelemetryBus(capacity=capacity)
+                 clock: Callable[[], float] = time.monotonic):
         self.sinks = list(sinks)
-        for sink in self.sinks:
-            self.bus.subscribe(sink)
         self.tally = ProgressTally()
         self.reporter = SnapshotReporter(
             self.tally, every_units=every_units,
             min_interval_s=min_interval_s, clock=clock,
         )
         self._lock = threading.RLock()
+        self._seq = 0
         self._closed = False
         self._began = False
 
     # ------------------------------------------------------------- lifecycle
 
     @classmethod
-    def from_config(cls, config: "HarnessConfig",
-                    status_stream=None) -> Optional["LiveTelemetry"]:
+    def from_config(cls, config: "HarnessConfig") -> Optional["LiveTelemetry"]:
         """Build the pipeline a config's telemetry knobs ask for.
 
-        Returns None when no knob is set — the runner then skips every
-        publish, keeping disabled telemetry free.
+        Returns None when no knob is set — the run then binds no
+        pipeline, keeping disabled telemetry free.
         """
         sinks: List[object] = []
-        if getattr(config, "live_stream", None):
+        if config.live_stream:
             sinks.append(NDJSONStreamSink(config.live_stream))
-        if getattr(config, "status", False):
-            sinks.append(StatusLineSink(stream=status_stream))
-        if getattr(config, "prom", None):
+        if config.status:
+            sinks.append(StatusLineSink())
+        if config.prom:
             sinks.append(PrometheusSink(config.prom))
         if not sinks:
             return None
@@ -808,86 +713,37 @@ class LiveTelemetry:
     def began(self) -> bool:
         return self._began
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    def _emit(self, record: dict) -> dict:
+        """Stamp ``seq`` and fan the record out (caller holds the lock)."""
+        record["seq"] = self._seq
+        self._seq += 1
+        for sink in self.sinks:
+            sink.emit(record)
+        return record
 
-    def begin(self, total_units: int = 0, replayed: int = 0, **meta) -> None:
-        """Emit the stream header and the campaign.start event."""
+    def begin(self, **meta) -> None:
+        """Write the stream's meta header (once); the campaign's
+        ``campaign.start`` event follows through the run's tracer."""
         with self._lock:
             if self._began:
                 return
             self._began = True
             self.reporter.begin()
-            header = {"type": "meta", "format": LIVE_FORMAT}
-            header.update(meta)
-            self.bus.publish_record(header)
-            self.bus.publish("campaign.start", total_units=total_units,
-                             replayed=replayed, **meta)
-            self.tally.fold({"type": "event", "kind": "campaign.start",
-                             "fields": {"total_units": total_units}})
-
-    def extend_total(self, units: int) -> None:
-        """Grow the campaign's unit total (Titan rechecks/probes)."""
-        self.event("campaign.extend", units=units)
+            self._emit(dict(meta, type="meta", format=TRACE_FORMAT))
 
     # ------------------------------------------------------------ publishing
 
-    def event(self, kind: str, **fields) -> None:
-        """Publish a typed event and fold it into the tally."""
+    def event(self, kind: str, /, **fields) -> None:
+        """Publish one event, fold it into the tally and, after a finished
+        unit, emit a snapshot when one is due."""
         with self._lock:
             if self._closed:
                 return
-            record = self.bus.publish(kind, **fields)
+            record = self._emit({"type": "event", "kind": kind,
+                                 "fields": fields})
             self.tally.fold(record)
-
-    def unit(self, index: int, unit: str, result: "TestResult", *,
-             backend: str = "tree", replayed: bool = False) -> None:
-        """Publish one finished unit and emit a snapshot when due."""
-        with self._lock:
-            if self._closed:
-                return
-            fields = unit_fields(index, unit, result, backend=backend,
-                                 replayed=replayed)
-            record = self.bus.publish("unit.finished", **fields)
-            self.tally.fold(record)
-            if self.reporter.due():
-                self.emit_snapshot()
-
-    def check(self, unit: str, check, *, replayed: bool = False) -> None:
-        """Publish one finished Titan node/stack check as a unit."""
-        report = check.report
-        with self._lock:
-            if self._closed:
-                return
-            record = self.bus.publish(
-                "unit.finished",
-                unit=unit, index=self.tally.units_done,
-                replayed=replayed, backend=str(report.config.backend),
-                passed=not check.flagged, failure_kind=None,
-                elapsed_s=report.elapsed_s,
-                iterations=sum(
-                    len(p.iterations) for r in report.results
-                    for p in (r.functional, r.cross)
-                    if p is not None and p.harness_error is None
-                    and p.static_error is None
-                ),
-                node=check.node_id, stack=check.stack, healthy=check.healthy,
-                pass_rate=check.pass_rate,
-                harness_error_units=check.harness_errors,
-            )
-            self.tally.fold(record)
-            if self.reporter.due():
-                self.emit_snapshot()
-
-    def emit_snapshot(self, final: bool = False,
-                      metrics: Optional[dict] = None) -> dict:
-        with self._lock:
-            snapshot = self.reporter.snapshot(
-                final=final, metrics=metrics, dropped=self.bus.dropped,
-            )
-            self.bus.publish_record(snapshot)
-            return snapshot
+            if kind == "unit.finished" and self.reporter.due():
+                self._emit(self.reporter.snapshot())
 
     # --------------------------------------------------------------- closing
 
@@ -897,165 +753,22 @@ class LiveTelemetry:
             if self._closed:
                 return
             self._closed = True
-            metrics = run_metrics_fields(report) if report is not None else None
-            snapshot = self.reporter.snapshot(
-                final=True, metrics=metrics, dropped=self.bus.dropped,
-            )
+            # the authoritative RunMetrics block of a final snapshot
+            metrics = (asdict(report.metrics) if report is not None
+                       and report.metrics is not None else None)
             # close sinks with the *stamped* record, so the atomic
             # .snapshot.json sidecar matches the stream's last line exactly
-            snapshot = self.bus.publish_record(snapshot)
+            snapshot = self._emit(
+                self.reporter.snapshot(final=True, metrics=metrics))
             for sink in self.sinks:
                 close = getattr(sink, "close", None)
                 if close is not None:
                     close(snapshot)
 
-    def close(self) -> None:
-        """Alias for :meth:`end` without a report (interrupted campaigns)."""
-        self.end(None)
-
 
 # ---------------------------------------------------------------------------
 # reading a stream back (repro obs tail)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LiveStream:
-    """A parsed NDJSON telemetry stream."""
-
-    meta: Dict[str, object] = field(default_factory=dict)
-    records: List[dict] = field(default_factory=list)
-    #: lines skipped in tolerant mode (torn tail of a killed writer)
-    malformed: int = 0
-
-    @property
-    def final_snapshot(self) -> Optional[dict]:
-        for record in reversed(self.records):
-            if record.get("type") == "snapshot" and record.get("final"):
-                return record
-        return None
-
-    def snapshots(self) -> List[dict]:
-        return [r for r in self.records if r.get("type") == "snapshot"]
-
-    def events(self, kind: Optional[str] = None) -> List[dict]:
-        return [r for r in self.records
-                if r.get("type") == "event"
-                and (kind is None or r.get("kind") == kind)]
-
-    def tally(self) -> ProgressTally:
-        """Re-fold the stream's events into campaign totals."""
-        tally = ProgressTally()
-        for record in self.records:
-            tally.fold(record)
-        return tally
-
-
-def parse_live(text: str, strict: bool = True) -> LiveStream:
-    """Parse NDJSON stream text (mirrors :func:`repro.obs.sink.parse_trace`).
-
-    In tolerant mode (``strict=False``, what ``repro obs tail`` uses) a
-    torn or garbage line is counted in :attr:`LiveStream.malformed` and
-    skipped — a stream whose writer was SIGKILLed mid-record still reads.
-    A wrong ``format`` tag raises either way: different format, not damage.
-    """
-    stream = LiveStream()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as err:
-            if strict:
-                raise ValueError(
-                    f"live stream line {lineno}: invalid JSON ({err})"
-                ) from err
-            stream.malformed += 1
-            continue
-        if not isinstance(record, dict) or "type" not in record:
-            if strict:
-                raise ValueError(
-                    f"live stream line {lineno}: not a telemetry record")
-            stream.malformed += 1
-            continue
-        if record.get("type") == "meta":
-            fmt = record.get("format")
-            if fmt != LIVE_FORMAT:
-                raise ValueError(
-                    f"live stream line {lineno}: unsupported format {fmt!r} "
-                    f"(expected {LIVE_FORMAT})"
-                )
-            stream.meta = {k: v for k, v in record.items() if k != "type"}
-        else:
-            stream.records.append(record)
-    return stream
-
-
-def read_live(path: str, strict: bool = True) -> LiveStream:
-    """Read and parse an NDJSON telemetry stream file."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_live(handle.read(), strict=strict)
-
-
-def render_tally_text(tally: ProgressTally,
-                      final: Optional[dict] = None) -> str:
-    """Plain-text totals for ``repro obs tail --summarize``."""
-    lines: List[str] = []
-    lines.append("live stream summary")
-    total = f"/{tally.total_units}" if tally.total_units else ""
-    lines.append(f"  units done         : {tally.units_done}{total}"
-                 + (f" ({tally.replayed} replayed)" if tally.replayed else ""))
-    lines.append(f"  passed / failed    : {tally.passed} / {tally.failed}")
-    if tally.failure_kinds:
-        lines.append("  failure kinds      : " + ", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(tally.failure_kinds.items())
-        ))
-    lines.append(f"  program runs       : {tally.iterations_run}")
-    lines.append(
-        f"  compile cache      : {tally.compile_cache_hits} hits / "
-        f"{tally.compile_cache_misses} misses "
-        f"({tally.compile_cache_hit_rate:.1%} hit rate)"
-    )
-    if tally.lower_cache_hits or tally.lower_cache_misses:
-        lines.append(
-            f"  lowering cache     : {tally.lower_cache_hits} hits / "
-            f"{tally.lower_cache_misses} misses "
-            f"({tally.lower_cache_hit_rate:.1%} hit rate)"
-        )
-    if tally.retries or tally.worker_lost:
-        lines.append(f"  retries / lost     : {tally.retries} / "
-                     f"{tally.worker_lost}")
-    if tally.quarantined or tally.recovered:
-        lines.append(f"  quarantined        : {tally.quarantined} "
-                     f"({tally.recovered} recovered)")
-    for mode, counts in sorted(tally.phase_counts.items()):
-        lines.append(
-            f"  {mode:18s} : " + ", ".join(
-                f"{verdict}={count}"
-                for verdict, count in sorted(counts.items()) if count
-            )
-        )
-    for backend, (count, total_s, lo, hi) in sorted(
-            tally.backend_timing.items()):
-        mean = total_s / count if count else 0.0
-        lines.append(
-            f"  backend {backend:10s} : {count} units, mean {mean:.4f}s "
-            f"(min {lo:.4f}s, max {hi:.4f}s)"
-        )
-    if final is not None:
-        lines.append(f"  final snapshot     : wall {final.get('wall_s')}s, "
-                     f"{final.get('units_per_sec')} units/s")
-        metrics = final.get("run_metrics")
-        if metrics:
-            lines.append(
-                f"  run metrics        : policy {metrics.get('policy')}, "
-                f"wall {metrics.get('wall_s'):.3f}s, "
-                f"compile {metrics.get('compile_s'):.3f}s, "
-                f"execute {metrics.get('execute_s'):.3f}s"
-            )
-    return "\n".join(lines) + "\n"
 
 
 def render_record_line(record: dict) -> str:

@@ -1,7 +1,7 @@
 """Metric primitives: counters, gauges, histograms.
 
 The harness's observability events fall into three shapes: things that
-happen (``compile.cache_hits`` — a :class:`Counter`), levels that are
+happen (``templates.run`` — a :class:`Counter`), levels that are
 (``run.wall_s`` — a :class:`Gauge`), and distributions over many samples
 (``iteration.steps`` — a :class:`Histogram` keeping count/sum/min/max
 rather than raw samples, so a million-iteration run costs four floats).

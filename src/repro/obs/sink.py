@@ -1,17 +1,20 @@
-"""JSONL trace sink and reader.
+"""JSONL trace sink and the one ``repro.obs/v2`` reader.
 
-One line per record, ``type`` first: a ``meta`` header, then spans (sorted
-by ID), events (by sequence number) and metrics (by name).  Sorting makes
-the stream layout deterministic for a given set of records, so two runs of
-the same configuration differ only in measured values — IDs, names, parents
-and counts line up row for row (the deterministic-ID property of
-:class:`repro.obs.trace.Tracer`).
+One JSON object per line: a ``meta`` header, then spans (sorted by ID),
+events (by sequence number) and metrics (by name).  Sorting makes the
+layout deterministic for a given set of records, so two runs of the same
+configuration line up span for span — IDs, names and parents match (the
+deterministic-ID property of :class:`repro.obs.trace.Tracer`); only
+measured values, and the completion order of ``unit.finished`` events
+under a process pool, differ.
 
-The reader is the other half: ``read_trace``/``parse_trace`` reconstruct a
-:class:`TraceData` that :mod:`repro.obs.summary` and
-:mod:`repro.obs.dashboard` consume.  Floats survive the round-trip exactly
-(``json`` emits ``repr``-style shortest-form floats), which is what lets
-``repro trace summarize`` reconcile with ``RunMetrics`` without slack.
+A live stream is the other view of the same records, written as they
+happen with ``snapshot`` records in between; ``read_trace``/``parse_trace``
+decode either kind of file, line by line through :func:`decode_line`
+(which ``repro obs tail --follow`` also uses).  Floats survive the round
+trip exactly (``json`` emits ``repr``-style shortest-form floats), which
+is what lets ``repro trace summarize`` reconcile with ``RunMetrics``
+without slack.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ioutil import atomic_write_text
+from repro.obs.live import ProgressTally
 from repro.obs.trace import Event, Span, TRACE_FORMAT, Tracer
 
 
@@ -66,13 +70,45 @@ def write_trace(path: str, tracer: Tracer, meta: Optional[dict] = None) -> None:
 # ---------------------------------------------------------------------------
 
 
+class TraceFormatError(ValueError):
+    """A meta header naming another format: a different file, not damage,
+    so it is refused even by the tolerant reader."""
+
+
+_RECORD_TYPES = frozenset({"meta", "span", "event", "snapshot",
+                           "counter", "gauge", "histogram"})
+
+
+def decode_line(line: str) -> dict:
+    """Decode one record line of a trace file or live stream.
+
+    Raises :class:`TraceFormatError` for a meta header with a foreign
+    format tag and :class:`ValueError` for invalid JSON or an unknown
+    record type.
+    """
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"invalid JSON ({err})") from err
+    kind = record.get("type") if isinstance(record, dict) else None
+    if kind not in _RECORD_TYPES:
+        raise ValueError(f"unknown record type {kind!r}")
+    if kind == "meta" and record.get("format") != TRACE_FORMAT:
+        raise TraceFormatError(
+            f"unsupported format {record.get('format')!r} "
+            f"(expected {TRACE_FORMAT})"
+        )
+    return record
+
+
 @dataclass
 class TraceData:
-    """A parsed trace file."""
+    """A parsed trace file or live stream."""
 
     meta: Dict[str, object] = field(default_factory=dict)
     spans: List[Span] = field(default_factory=list)
-    events: List[Event] = field(default_factory=list)
+    #: event and snapshot records, in file order (wire shape)
+    records: List[dict] = field(default_factory=list)
     counters: Dict[str, int] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
     #: name -> (count, sum, min, max)
@@ -81,11 +117,53 @@ class TraceData:
     #: lines skipped in tolerant mode (torn tail, truncated records)
     malformed: int = 0
 
+    def add(self, record: dict) -> None:
+        """File one decoded record (see :func:`decode_line`); a record
+        missing a required key raises :class:`KeyError`."""
+        kind = record["type"]
+        if kind == "meta":
+            self.meta = {k: v for k, v in record.items() if k != "type"}
+        elif kind == "span":
+            self.spans.append(Span.from_dict(record))
+        elif kind in ("event", "snapshot"):
+            if kind == "event" and "kind" not in record:
+                raise KeyError("kind")
+            self.records.append(record)
+        elif kind == "histogram":
+            self.histograms[record["name"]] = (
+                record["count"], record["sum"],
+                record.get("min"), record.get("max"),
+            )
+        elif kind == "counter":
+            self.counters[record["name"]] = record["value"]
+        else:
+            self.gauges[record["name"]] = record["value"]
+
+    def events(self, kind: Optional[str] = None) -> List[Event]:
+        """The file's events (of one ``kind``, if given), in file order."""
+        return [Event.from_dict(r) for r in self.records
+                if r["type"] == "event"
+                and (kind is None or r["kind"] == kind)]
+
+    def snapshots(self) -> List[dict]:
+        return [r for r in self.records if r["type"] == "snapshot"]
+
+    @property
+    def final_snapshot(self) -> Optional[dict]:
+        for record in reversed(self.records):
+            if record["type"] == "snapshot" and record.get("final"):
+                return record
+        return None
+
+    def tally(self) -> ProgressTally:
+        """Fold the file's campaign and unit events into campaign totals."""
+        tally = ProgressTally()
+        for record in self.records:
+            tally.fold(record)
+        return tally
+
     def spans_named(self, name: str) -> List[Span]:
         return [s for s in self.spans if s.name == name]
-
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]
 
     def span_by_id(self, span_id: str) -> Optional[Span]:
         for span in self.spans:
@@ -95,15 +173,15 @@ class TraceData:
 
 
 def parse_trace(text: str, strict: bool = True) -> TraceData:
-    """Parse JSONL trace text into a :class:`TraceData`.
+    """Parse a trace file's or live stream's text into a :class:`TraceData`.
 
     In strict mode (the default, for library callers that want loud
     failures) any bad line raises :class:`ValueError`.  With
-    ``strict=False`` — what ``repro trace`` uses — malformed lines are
-    *counted* in :attr:`TraceData.malformed` and skipped, so a trace with
-    a torn tail (the process was SIGKILLed mid-write) still summarizes.
-    A wrong ``format`` tag in the meta header raises either way: that is
-    a different file format, not damage.
+    ``strict=False`` — what ``repro trace`` and ``repro obs tail`` use —
+    malformed lines are *counted* in :attr:`TraceData.malformed` and
+    skipped, so a file with a torn tail (the writer was SIGKILLed
+    mid-write) still reads.  A wrong ``format`` tag in the meta header
+    raises either way (:class:`TraceFormatError`).
     """
     trace = TraceData()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -111,55 +189,20 @@ def parse_trace(text: str, strict: bool = True) -> TraceData:
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as err:
+            trace.add(decode_line(line))
+        except TraceFormatError:
+            raise
+        except (ValueError, KeyError, TypeError) as err:
             if strict:
-                raise ValueError(
-                    f"trace line {lineno}: invalid JSON ({err})") from err
+                # KeyError/TypeError: valid JSON, but a truncated record
+                detail = (err if isinstance(err, ValueError)
+                          else f"truncated record ({err!r})")
+                raise ValueError(f"line {lineno}: {detail}") from err
             trace.malformed += 1
-            continue
-        kind = record.get("type") if isinstance(record, dict) else None
-        try:
-            if kind == "meta":
-                fmt = record.get("format")
-                if fmt != TRACE_FORMAT:
-                    raise ValueError(
-                        f"trace line {lineno}: unsupported format {fmt!r} "
-                        f"(expected {TRACE_FORMAT})"
-                    )
-                trace.meta = {k: v for k, v in record.items() if k != "type"}
-            elif kind == "span":
-                trace.spans.append(Span.from_dict(record))
-            elif kind == "event":
-                trace.events.append(Event.from_dict(record))
-            elif kind == "counter":
-                trace.counters[record["name"]] = record["value"]
-            elif kind == "gauge":
-                trace.gauges[record["name"]] = record["value"]
-            elif kind == "histogram":
-                trace.histograms[record["name"]] = (
-                    record["count"], record["sum"],
-                    record.get("min"), record.get("max"),
-                )
-            else:
-                raise ValueError(
-                    f"trace line {lineno}: unknown record type {kind!r}")
-        except ValueError as err:
-            # a wrong format tag is a hard error even in tolerant mode
-            if strict or "unsupported format" in str(err):
-                raise
-            trace.malformed += 1
-        except (KeyError, TypeError) as err:
-            # valid JSON missing required fields: a truncated record
-            if strict:
-                raise ValueError(
-                    f"trace line {lineno}: truncated record ({err})") from err
-            trace.malformed += 1
-    trace.events.sort(key=lambda e: e.seq)
     return trace
 
 
 def read_trace(path: str, strict: bool = True) -> TraceData:
-    """Read and parse a JSONL trace file (see :func:`parse_trace`)."""
-    with open(path) as handle:
+    """Read and parse a trace file or live stream (see :func:`parse_trace`)."""
+    with open(path, encoding="utf-8") as handle:
         return parse_trace(handle.read(), strict=strict)

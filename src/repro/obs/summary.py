@@ -1,11 +1,12 @@
-"""Trace summarization: the analysis half of ``repro trace summarize``.
+"""One summary for trace files and live streams: the analysis half of
+``repro trace summarize`` and ``repro obs tail --summarize``.
 
-Folds a recorded trace back into the numbers an engineer asks first:
-where did the time go (per-phase breakdown), which templates were slowest
-(top-N by span duration), and how did the compile cache behave over the
-run (hit/miss timeline).  The per-phase totals are sums of the *same*
-span durations the runner copied into ``PhaseResult.compile_s``/``run_s``,
-so they reconcile with :class:`repro.harness.engine.RunMetrics` exactly.
+Span sections (a trace file) answer where the time went (per-phase
+breakdown), which templates were slowest and how the compile cache behaved
+over the run; the per-phase totals sum the *same* span durations the runner
+copied into ``PhaseResult.compile_s``/``run_s``.  Tally sections (any file
+with unit events) are :class:`~repro.obs.live.ProgressTally` totals — the
+only fold of unit totals — plus a live stream's final run metrics.
 """
 
 from __future__ import annotations
@@ -13,19 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.live import ProgressTally
 from repro.obs.sink import TraceData
 
 #: cache events recognised in the timeline
 _CACHE_EVENTS = {"compile.cache_hit": "hit", "compile.cache_miss": "miss"}
 
-#: lowering-cache events (closures backend); not part of the compile
-#: timeline — lowering happens once per CompiledProgram, post-compile
-_LOWER_EVENTS = {"lower.cache_hit": "hit", "lower.cache_miss": "miss"}
-
 
 @dataclass
 class TraceSummary:
-    """Aggregates derived from one trace file."""
+    """Aggregates derived from one trace file or live stream."""
 
     #: total duration of root (parentless) spans — the suite-run wall time
     wall_s: float = 0.0
@@ -33,37 +31,25 @@ class TraceSummary:
     compile_s: float = 0.0
     #: summed duration of all ``execute`` spans (matches RunMetrics.execute_s)
     execute_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: lowering-cache counters (``lower.cache_hits``/``lower.cache_misses``;
-    #: populated only by closures-backend runs)
-    lower_hits: int = 0
-    lower_misses: int = 0
     #: span name -> (count, summed duration)
     phase_totals: Dict[str, Tuple[int, float]] = field(default_factory=dict)
     #: slowest template spans: (key, duration, passed) best-first
     slowest: List[Tuple[str, float, Optional[bool]]] = field(default_factory=list)
     #: cache timeline entries: (seq, 'hit'|'miss', template name)
     cache_timeline: List[Tuple[int, str, str]] = field(default_factory=list)
-    #: event name -> count
+    #: event kind -> count
     event_counts: Dict[str, int] = field(default_factory=dict)
     #: failure-kind value -> count (from iteration.failed events)
     failure_kinds: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
-    def lower_hit_rate(self) -> float:
-        total = self.lower_hits + self.lower_misses
-        return self.lower_hits / total if total else 0.0
+    #: campaign totals folded from the unit events
+    tally: ProgressTally = field(default_factory=ProgressTally)
+    #: the final snapshot of a live stream, if any
+    final: Optional[dict] = None
 
 
 def summarize_trace(trace: TraceData, top: int = 10) -> TraceSummary:
-    """Aggregate a parsed trace into a :class:`TraceSummary`."""
-    summary = TraceSummary()
+    """Aggregate a parsed trace file or live stream."""
+    summary = TraceSummary(tally=trace.tally(), final=trace.final_snapshot)
     for span in trace.spans:
         if span.parent_id is None:
             summary.wall_s += span.duration
@@ -83,42 +69,25 @@ def summarize_trace(trace: TraceData, top: int = 10) -> TraceSummary:
         for s in templates[:top]
     ]
 
-    summary.cache_hits = trace.counters.get("compile.cache_hits", 0)
-    summary.cache_misses = trace.counters.get("compile.cache_misses", 0)
-    summary.lower_hits = trace.counters.get("lower.cache_hits", 0)
-    summary.lower_misses = trace.counters.get("lower.cache_misses", 0)
-    for event in trace.events:
-        summary.event_counts[event.name] = \
-            summary.event_counts.get(event.name, 0) + 1
-        verdict = _CACHE_EVENTS.get(event.name)
+    for event in trace.events():
+        summary.event_counts[event.kind] = \
+            summary.event_counts.get(event.kind, 0) + 1
+        verdict = _CACHE_EVENTS.get(event.kind)
         if verdict is not None:
             summary.cache_timeline.append(
                 (event.seq, verdict, str(event.fields.get("template", "?")))
             )
-        elif event.name == "iteration.failed":
+        elif event.kind == "iteration.failed":
             kind = str(event.fields.get("kind", "?"))
             summary.failure_kinds[kind] = summary.failure_kinds.get(kind, 0) + 1
     return summary
 
 
-def render_summary_text(summary: TraceSummary,
-                        timeline_limit: int = 20) -> str:
-    """Plain-text rendering for the CLI."""
-    lines: List[str] = []
-    lines.append("trace summary")
-    lines.append(f"  wall time (roots)  : {summary.wall_s:.3f} s")
-    lines.append(f"  compile time (sum) : {summary.compile_s:.3f} s")
-    lines.append(f"  execute time (sum) : {summary.execute_s:.3f} s")
-    lines.append(
-        f"  compile cache      : {summary.cache_hits} hits / "
-        f"{summary.cache_misses} misses ({summary.cache_hit_rate:.1%} hit rate)"
-    )
-    if summary.lower_hits or summary.lower_misses:
-        lines.append(
-            f"  lowering cache     : {summary.lower_hits} hits / "
-            f"{summary.lower_misses} misses "
-            f"({summary.lower_hit_rate:.1%} hit rate)"
-        )
+def _span_lines(summary: TraceSummary, timeline_limit: int) -> List[str]:
+    lines = ["trace summary",
+             f"  wall time (roots)  : {summary.wall_s:.3f} s",
+             f"  compile time (sum) : {summary.compile_s:.3f} s",
+             f"  execute time (sum) : {summary.execute_s:.3f} s"]
     if summary.failure_kinds:
         lines.append("  failed iterations  : " + ", ".join(
             f"{kind}={count}"
@@ -127,8 +96,7 @@ def render_summary_text(summary: TraceSummary,
 
     lines.append("")
     lines.append("per-phase time breakdown")
-    header = f"  {'span':12s} {'count':>6s} {'total':>10s} {'mean':>10s}"
-    lines.append(header)
+    lines.append(f"  {'span':12s} {'count':>6s} {'total':>10s} {'mean':>10s}")
     for name, (count, total) in sorted(
         summary.phase_totals.items(), key=lambda kv: -kv[1][1]
     ):
@@ -151,11 +119,80 @@ def render_summary_text(summary: TraceSummary,
         )
         for seq, verdict, template in shown:
             lines.append(f"  #{seq:<5d} {verdict:4s} {template}")
+    return lines
 
-    if summary.event_counts:
-        lines.append("")
-        lines.append("events: " + ", ".join(
-            f"{name}={count}"
-            for name, count in sorted(summary.event_counts.items())
+
+def _tally_lines(tally: ProgressTally, final: Optional[dict]) -> List[str]:
+    lines = ["campaign totals"]
+    total = f"/{tally.total_units}" if tally.total_units else ""
+    lines.append(f"  units done         : {tally.units_done}{total}"
+                 + (f" ({tally.replayed} replayed)" if tally.replayed else ""))
+    lines.append(f"  passed / failed    : {tally.passed} / {tally.failed}")
+    if tally.failure_kinds:
+        lines.append("  failure kinds      : " + ", ".join(
+            f"{kind}={count}"
+            for kind, count in sorted(tally.failure_kinds.items())
         ))
-    return "\n".join(lines) + "\n"
+    lines.append(f"  program runs       : {tally.iterations_run}")
+    lines.append(
+        f"  compile cache      : {tally.compile_cache_hits} hits / "
+        f"{tally.compile_cache_misses} misses "
+        f"({tally.compile_cache_hit_rate:.1%} hit rate)"
+    )
+    if tally.lower_cache_hits or tally.lower_cache_misses:
+        lines.append(
+            f"  lowering cache     : {tally.lower_cache_hits} hits / "
+            f"{tally.lower_cache_misses} misses "
+            f"({tally.lower_cache_hit_rate:.1%} hit rate)"
+        )
+    if tally.retries or tally.worker_lost:
+        lines.append(f"  retries / lost     : {tally.retries} / "
+                     f"{tally.worker_lost}")
+    if tally.quarantined or tally.recovered:
+        lines.append(f"  quarantined        : {tally.quarantined} "
+                     f"({tally.recovered} recovered)")
+    for mode, counts in sorted(tally.phase_counts.items()):
+        lines.append(
+            f"  {mode:18s} : " + ", ".join(
+                f"{verdict}={count}"
+                for verdict, count in sorted(counts.items()) if count
+            )
+        )
+    for backend, (count, total_s, lo, hi) in sorted(
+            tally.backend_timing.items()):
+        mean = total_s / count if count else 0.0
+        lines.append(
+            f"  backend {backend:10s} : {count} units, mean {mean:.4f}s "
+            f"(min {lo:.4f}s, max {hi:.4f}s)"
+        )
+    if final is not None:
+        lines.append(f"  final snapshot     : wall {final.get('wall_s')}s, "
+                     f"{final.get('units_per_sec')} units/s")
+        metrics = final.get("run_metrics")
+        if metrics:
+            lines.append(
+                f"  run metrics        : policy {metrics.get('policy')}, "
+                f"wall {metrics.get('wall_s'):.3f}s, "
+                f"compile {metrics.get('compile_s'):.3f}s, "
+                f"execute {metrics.get('execute_s'):.3f}s"
+            )
+    return lines
+
+
+def render_summary_text(summary: TraceSummary,
+                        timeline_limit: int = 20) -> str:
+    """Plain-text rendering for the CLI: span sections when the file has
+    spans, tally sections when it has unit events, then event counts."""
+    sections: List[List[str]] = []
+    if summary.phase_totals:
+        sections.append(_span_lines(summary, timeline_limit))
+    if "unit.finished" in summary.event_counts or summary.final is not None:
+        sections.append(_tally_lines(summary.tally, summary.final))
+    if summary.event_counts:
+        sections.append(["events: " + ", ".join(
+            f"{kind}={count}"
+            for kind, count in sorted(summary.event_counts.items())
+        )])
+    if not sections:
+        sections.append(["no spans or events"])
+    return "\n\n".join("\n".join(lines) for lines in sections) + "\n"

@@ -30,6 +30,13 @@ Design points that matter to the rest of the system:
   renumbering event sequence numbers.  Spans without a parent are later
   attached under the suite-run root span by
   :meth:`Tracer.reparent_orphans`, so one trace covers the whole run.
+  Workers record events whenever the parent has a trace *or* a live
+  stream, so adopted live-kind events reach the stream too.
+* **One emitter.**  :meth:`Tracer.event` is the only call that emits an
+  observable fact: it records the event in the trace and forwards the
+  kinds in :data:`LIVE_KINDS` to the run's live pipeline
+  (:attr:`Tracer.live`), so a trace and a live stream carry the same
+  record with the same fields.
 
 Span parentage is tracked per-thread (a thread-local stack), which makes
 nesting automatic in serial code and keeps concurrent threads (e.g. the
@@ -44,8 +51,18 @@ from typing import Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 
-#: format tag written into trace metadata and checked by the reader
-TRACE_FORMAT = "repro.obs/v1"
+#: format tag written into the meta header of trace files and live
+#: streams alike, and checked by the one reader (:mod:`repro.obs.sink`)
+TRACE_FORMAT = "repro.obs/v2"
+
+#: event kinds a live stream carries: :meth:`Tracer.event` forwards these
+#: (and only these) to the run's live pipeline.  Compile, lowering,
+#: journal and iteration events stay in the trace.
+LIVE_KINDS = frozenset({
+    "campaign.start", "campaign.extend", "unit.finished",
+    "engine.retry", "engine.harness_error", "engine.worker_lost",
+    "titan.quarantined", "titan.recovered",
+})
 
 
 class Span:
@@ -114,24 +131,31 @@ class Span:
 
 
 class Event:
-    """A typed point-in-time record (e.g. ``iteration.failed``)."""
+    """A typed point-in-time record (e.g. ``iteration.failed``).
 
-    __slots__ = ("seq", "name", "span_id", "fields")
+    Serialized in the one record shape trace files and live streams
+    share: ``{"kind": K, "fields": {...}, "seq": n}``, plus ``span`` when
+    the event was recorded inside an open span.
+    """
 
-    def __init__(self, seq: int, name: str, span_id: Optional[str],
+    __slots__ = ("seq", "kind", "span_id", "fields")
+
+    def __init__(self, seq: int, kind: str, span_id: Optional[str],
                  fields: Dict[str, object]):
         self.seq = seq
-        self.name = name
+        self.kind = kind
         self.span_id = span_id
         self.fields = fields
 
     def to_dict(self) -> dict:
-        return {"seq": self.seq, "name": self.name, "span": self.span_id,
-                "fields": self.fields}
+        record = {"kind": self.kind, "fields": self.fields, "seq": self.seq}
+        if self.span_id is not None:
+            record["span"] = self.span_id
+        return record
 
     @classmethod
     def from_dict(cls, data: dict) -> "Event":
-        return cls(data.get("seq", 0), data["name"], data.get("span"),
+        return cls(data.get("seq", 0), data["kind"], data.get("span"),
                    dict(data.get("fields") or {}))
 
 
@@ -147,6 +171,9 @@ class Tracer:
 
     def __init__(self, profile: bool = False):
         self.profile = profile
+        #: the run's live pipeline (a repro.obs.live.LiveTelemetry), bound
+        #: by the run that owns it; live-kind events are forwarded to it
+        self.live = None
         self.metrics = MetricsRegistry()
         self.spans: List[Span] = []
         self.events: List[Event] = []
@@ -178,13 +205,17 @@ class Tracer:
         return Span(self._make_id(name, key), name, key, parent_id, worker,
                     tracer=self, attrs=dict(attrs) if attrs else None)
 
-    def event(self, name: str, **fields) -> None:
+    def event(self, kind: str, /, **fields) -> None:
+        """Record one event; a live-kind event also reaches :attr:`live`."""
         current = self.current()
         span_id = current.span_id if current is not None else None
         with self._lock:
             seq = self._seq
             self._seq += 1
-            self.events.append(Event(seq, name, span_id, fields))
+            self.events.append(Event(seq, kind, span_id, fields))
+        live = self.live
+        if live is not None and kind in LIVE_KINDS:
+            live.event(kind, **fields)
 
     # ------------------------------------------------------------ internals
 
@@ -239,7 +270,8 @@ class Tracer:
 
         Adopted spans are relabelled with ``worker`` (the pool's name for
         the process); event sequence numbers are renumbered into this
-        tracer's stream so ordering stays total.
+        tracer's stream so ordering stays total, and live-kind events are
+        forwarded to :attr:`live` as if recorded here.
         """
         spans = [Span.from_dict(d) for d in payload.get("spans", [])]
         events = [Event.from_dict(d) for d in payload.get("events", [])]
@@ -255,6 +287,11 @@ class Tracer:
                 self._seq += 1
                 self.events.append(event)
         self.metrics.merge(payload.get("metrics", {}))
+        live = self.live
+        if live is not None:
+            for event in events:
+                if event.kind in LIVE_KINDS:
+                    live.event(event.kind, **event.fields)
 
     def reparent_orphans(self, root: Span) -> None:
         """Attach every recorded parentless span under ``root`` — the step
@@ -305,13 +342,21 @@ class NullSpan:
 class NullTracer:
     """The default tracer: every operation is a no-op (modulo two
     ``perf_counter`` reads per span, which the untraced runner paid for
-    its timing instrumentation already)."""
+    its timing instrumentation already).
+
+    An untraced run with live telemetry gets its own ``NullTracer(live)``:
+    it records nothing, but forwards live-kind events to ``live``.  The
+    shared :data:`NULL_TRACER` never carries a pipeline.
+    """
 
     enabled = False
     profile = False
     metrics = NULL_METRICS
     spans: List[Span] = []
     events: List[Event] = []
+
+    def __init__(self, live=None):
+        self.live = live
 
     def current(self) -> None:
         return None
@@ -321,14 +366,16 @@ class NullTracer:
              **attrs) -> NullSpan:
         return NullSpan()
 
-    def event(self, name: str, **fields) -> None:
-        pass
+    def event(self, kind: str, /, **fields) -> None:
+        if self.live is not None and kind in LIVE_KINDS:
+            self.live.event(kind, **fields)
 
     def drain(self) -> dict:
         return {"spans": [], "events": [], "metrics": {}}
 
     def adopt(self, payload: dict, worker: Optional[str] = None) -> None:
-        pass
+        for data in payload.get("events", []):  # drained in seq order
+            self.event(data["kind"], **data.get("fields", {}))
 
     def reparent_orphans(self, root) -> None:
         pass

@@ -3,7 +3,7 @@
 A long-lived ``repro serve`` process accepts concurrent campaign
 submissions over a newline-delimited-JSON TCP protocol, runs each with
 its own :class:`~repro.harness.engine.CancelToken`, streams
-``repro.obs.live`` records to ``tail`` clients, and journals every
+its live-telemetry records to ``tail`` clients, and journals every
 campaign so a killed server resumes cleanly.
 """
 

@@ -4,7 +4,7 @@
 is one JSON object on one line; every response is one JSON object on
 one line with an ``ok`` boolean (``{"ok": false, "error": "..."}`` on
 failure).  ``tail`` is the one streaming op: after its ``ok`` response
-the server sends ``{"record": <repro.obs.live/v1 record>}`` lines and
+the server sends ``{"record": <repro.obs/v2 live record>}`` lines and
 terminates the stream with ``{"end": true, "state": ..., "exit": ...}``.
 
 Requests:

@@ -14,6 +14,8 @@ Covers the PR's acceptance criteria:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -35,8 +37,10 @@ from repro.harness.runner import (
 from repro.harness.runner import TestResult as _TestResult
 from repro.templates import TestTemplate as _TestTemplate
 from repro.obs import (
+    LIVE_KINDS,
     MetricsRegistry,
     NULL_TRACER,
+    TRACE_FORMAT,
     Tracer,
     parse_trace,
     read_trace,
@@ -112,7 +116,7 @@ class TestTracer:
         assert [s.span_id for s in parent.spans] == ["template[t:c]"]
         assert parent.spans[0].attrs["passed"] is False
         # adopted event renumbered after the parent's own
-        assert [(e.seq, e.name) for e in parent.events] == [
+        assert [(e.seq, e.kind) for e in parent.events] == [
             (0, "already.here"), (1, "iteration.failed")]
         assert parent.metrics.snapshot()["counters"] == {"templates.run": 1}
 
@@ -190,7 +194,7 @@ class TestSink:
         assert restored.parent_id == root.span_id
         original = [s for s in tracer.spans if s.name == "template"][0]
         assert restored.duration == original.duration  # floats exact via json
-        assert [(e.name, e.fields) for e in trace.events] == \
+        assert [(e.kind, e.fields) for e in trace.events()] == \
             [("iteration.failed", {"kind": "timeout", "seed": 3})]
         assert trace.counters == {"templates.run": 1}
         assert trace.gauges == {"run.wall_s": 0.25}
@@ -265,10 +269,10 @@ class TestTornTraces:
 # ---------------------------------------------------------------------------
 
 
-def _traced_run(suite, policy: str, workers: int):
+def _traced_run(suite, policy: str, workers: int, stream: str):
     config = HarnessConfig(
         iterations=2, languages=("c",), policy=policy, workers=workers,
-        feature_prefixes=["loop", "declare", "parallel"],
+        feature_prefixes=["loop", "declare", "parallel"], live_stream=stream,
     )
     tracer = Tracer(profile=True)
     runner = ValidationRunner(_BUGGY, config, tracer=tracer)
@@ -277,10 +281,46 @@ def _traced_run(suite, policy: str, workers: int):
 
 
 @pytest.fixture(scope="module")
-def traced_runs(suite10):
-    serial = _traced_run(suite10, "serial", 1)
-    process = _traced_run(suite10, "process", 4)
-    return {"serial": serial, "process": process}
+def traced_runs(suite10, tmp_path_factory):
+    """Traced runs that also write a live stream (``<policy>.ndjson``)."""
+    root = tmp_path_factory.mktemp("traced")
+    runs = {policy: _traced_run(suite10, policy, workers,
+                                str(root / f"{policy}.ndjson"))
+            for policy, workers in (("serial", 1), ("process", 4))}
+    runs["streams"] = {policy: str(root / f"{policy}.ndjson")
+                       for policy in ("serial", "process")}
+    return runs
+
+
+def _faulty_or_titan_run(case, suite, stream: str) -> Tracer:
+    """A traced run with a live stream whose events go beyond units:
+    worker retries under a process pool, or a Titan quarantine and
+    recovery."""
+    from repro.faults import FaultPlan
+    from repro.harness.titan import STACK_CUDA, TitanCluster, TitanHarness
+
+    tracer = Tracer()
+    if case == "retries":
+        config = HarnessConfig(
+            iterations=1, languages=("c",), run_cross=False,
+            feature_prefixes=["parallel"], policy="process", workers=2,
+            retries=2, fault_plan=FaultPlan.parse("iteration=0.3,seed=7"),
+            live_stream=stream)
+        ValidationRunner(config=config, tracer=tracer).run_suite(suite)
+        return tracer
+    cluster = TitanCluster(
+        num_nodes=2, degraded_fraction=0.5, seed=5,
+        degrade=lambda behavior, nid: behavior.with_(ignore_update=True))
+    [degraded] = [n for n in cluster.nodes if not n.healthy]
+    harness = TitanHarness(
+        cluster, suite, tracer=tracer, feature_prefixes=["update"],
+        config=HarnessConfig(iterations=1, run_cross=False, languages=("c",),
+                             live_stream=stream))
+    harness.sweep(sample_size=2, seed=0, stacks=(STACK_CUDA,))
+    cluster.heal(degraded.node_id)
+    assert harness.probe_quarantined() == [degraded.node_id]
+    harness.finish()
+    return tracer
 
 
 class TestTracedSuiteRun:
@@ -319,16 +359,58 @@ class TestTracedSuiteRun:
         report, tracer = traced_runs["serial"]
         path = str(tmp_path / "trace.jsonl")
         write_trace(path, tracer, meta={"command": "test"})
-        summary = summarize_trace(read_trace(path))
         metrics = report.metrics
-        assert summary.compile_s == pytest.approx(metrics.compile_s)
-        assert summary.execute_s == pytest.approx(metrics.execute_s)
-        assert summary.cache_hits == metrics.cache_hits
-        assert summary.cache_misses == metrics.cache_misses
-        assert summary.wall_s == pytest.approx(
+        # one summary over either view of the run: the trace file and the
+        # live stream fold the same unit events into the same totals
+        for kind, source in (("trace", path),
+                             ("stream", traced_runs["streams"]["serial"])):
+            summary = summarize_trace(read_trace(source))
+            tally = summary.tally
+            assert tally.units_done == metrics.templates, kind
+            assert tally.iterations_run == metrics.iterations_run, kind
+            assert tally.compile_cache_hits == metrics.cache_hits, kind
+            assert tally.compile_cache_misses == metrics.cache_misses, kind
+            assert tally.compile_s == pytest.approx(metrics.compile_s), kind
+            text = render_summary_text(summary)
+            assert "campaign totals" in text, kind
+        trace_summary = summarize_trace(read_trace(path))
+        assert trace_summary.compile_s == pytest.approx(metrics.compile_s)
+        assert trace_summary.execute_s == pytest.approx(metrics.execute_s)
+        assert trace_summary.wall_s == pytest.approx(
             metrics.wall_s, rel=0.2, abs=0.2)
-        text = render_summary_text(summary)
+        text = render_summary_text(trace_summary)
         assert "trace summary" in text and "slowest templates" in text
+        assert "trace summary" not in render_summary_text(
+            summarize_trace(read_trace(traced_runs["streams"]["serial"])))
+
+    @pytest.mark.parametrize("case,expected", [
+        ("serial", {"campaign.start", "unit.finished"}),
+        ("process", {"campaign.start", "unit.finished"}),
+        ("retries", {"engine.retry"}),
+        ("titan", {"campaign.extend", "titan.quarantined", "titan.recovered"}),
+    ])
+    def test_shared_kinds_carry_identical_fields(self, traced_runs, suite10,
+                                                 tmp_path, case, expected):
+        # one emitter: every event kind the live stream carries reaches the
+        # trace with the very same fields (same call, same record)
+        if case in traced_runs:
+            _, tracer = traced_runs[case]
+            stream_path = traced_runs["streams"][case]
+        else:
+            stream_path = str(tmp_path / "run.ndjson")
+            tracer = _faulty_or_titan_run(case, suite10, stream_path)
+        path = str(tmp_path / "trace.jsonl")
+        write_trace(path, tracer)
+        trace = read_trace(path)
+        stream = read_trace(stream_path)
+        assert stream.meta["format"] == trace.meta["format"] == TRACE_FORMAT
+        stream_kinds = {e.kind for e in stream.events()}
+        assert expected <= stream_kinds <= LIVE_KINDS
+        for kind in LIVE_KINDS:
+            def fields(data):
+                return sorted(json.dumps(e.fields, sort_keys=True)
+                              for e in data.events(kind))
+            assert fields(trace) == fields(stream), kind
 
     def test_failure_events_and_counters(self, traced_runs):
         report, tracer = traced_runs["serial"]
@@ -336,7 +418,7 @@ class TestTracedSuiteRun:
         counters = snapshot["counters"]
         assert counters["templates.run"] == len(report.results)
         assert counters["iterations.run"] == report.metrics.iterations_run
-        failed = [e for e in tracer.events if e.name == "iteration.failed"]
+        failed = [e for e in tracer.events if e.kind == "iteration.failed"]
         assert failed, "buggy behaviour must produce failure events"
         kinds = {e.fields["kind"] for e in failed}
         assert "wrong_value" in kinds
@@ -379,12 +461,18 @@ class TestTitanTracing:
         counters = tracer.metrics.snapshot()["counters"]
         assert counters["titan.checks"] == len(checks)
         flagged = [c for c in checks if c.flagged]
-        events = [e for e in tracer.events if e.name == "titan.node_flagged"]
+        events = [e for e in tracer.events if e.kind == "titan.node_flagged"]
         assert len(events) == len(flagged)
         if flagged:
-            assert counters["titan.flagged"] == len(flagged)
             assert {e.fields["node"] for e in events} == \
                 {c.node_id for c in flagged}
+        # the trace carries the campaign's own unit records — one per
+        # check, sweep checks first, then triage re-checks — and not those
+        # of the per-check inner runs
+        units = [e for e in tracer.events if e.kind == "unit.finished"]
+        assert all("node" in e.fields for e in units)
+        assert [e.fields["node"] for e in units[:len(checks)]] == \
+            [c.node_id for c in checks]
 
 
 # ---------------------------------------------------------------------------

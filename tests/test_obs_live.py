@@ -2,8 +2,7 @@
 
 Covers the PR's acceptance criteria:
 
-* the bounded bus: sequence stamping, eviction + dropped accounting,
-  sink fan-out;
+* the pipeline: sequence stamping and sink fan-out under one lock;
 * ``unit_fields``/``ProgressTally`` mirror the ``build_metrics`` skip
   rule, so a tally folded from the stream reconciles *exactly* with the
   report's :class:`~repro.harness.engine.RunMetrics` integers;
@@ -13,8 +12,10 @@ Covers the PR's acceptance criteria:
   execution policies and both interpreter backends;
 * journal resume: replayed units count toward progress and are marked
   ``replayed``; the resumed report matches an uninterrupted run;
-* the tolerant reader: a torn tail is skipped and counted, a wrong
-  format tag raises either way; ``repro obs tail`` survives both;
+* the one reader (:func:`repro.obs.read_trace`) on live streams: a torn
+  tail is skipped and counted, a wrong format tag raises either way;
+  ``repro obs tail`` survives both, with and without ``--follow``;
+* retries reach the live stream under every policy;
 * Prometheus rendering passes its own linter, and the linter catches
   broken exposition text;
 * the CLI surface: ``validate --live-stream/--status/--prom``,
@@ -40,25 +41,30 @@ from repro.harness import (
 )
 from repro.harness.runner import IterationOutcome, PhaseResult
 from repro.harness.runner import TestResult as _TestResult
-from repro.obs import Tracer
+from repro.obs import (
+    TRACE_FORMAT,
+    Tracer,
+    parse_trace,
+    read_trace,
+    render_summary_text,
+    summarize_trace,
+)
 from repro.obs.live import (
-    LIVE_FORMAT,
     LiveTelemetry,
     NDJSONStreamSink,
     ProgressTally,
     SnapshotReporter,
     StatusLineSink,
-    TelemetryBus,
     lint_prometheus,
-    parse_live,
-    read_live,
     render_prometheus,
     render_status_line,
-    render_tally_text,
     unit_fields,
 )
 
 _PGI = vendor_version("pgi", "13.2").behavior("c")
+
+#: the trace format tag before trace files and live streams shared one
+_PREVIOUS_FORMAT = TRACE_FORMAT.replace("/v2", "/v1")
 
 
 def _quick_config(**kw) -> HarnessConfig:
@@ -69,34 +75,31 @@ def _quick_config(**kw) -> HarnessConfig:
 
 
 # ---------------------------------------------------------------------------
-# the bus
+# the pipeline
 # ---------------------------------------------------------------------------
 
 
-def test_bus_stamps_sequence_and_bounds_memory():
-    bus = TelemetryBus(capacity=4)
-    for i in range(10):
-        bus.publish("tick", i=i)
-    records = bus.records()
-    assert len(records) == 4
-    assert bus.dropped == 6
-    # sequence numbers keep counting across evictions
-    assert [r["seq"] for r in records] == [6, 7, 8, 9]
-    assert records[-1]["fields"] == {"i": 9}
-
-
-def test_bus_fans_out_to_sinks():
-    bus = TelemetryBus()
+def test_live_telemetry_stamps_sequence_and_fans_out():
     seen = []
 
     class Sink:
         def emit(self, record):
             seen.append(record)
 
-    bus.subscribe(Sink())
-    bus.publish("a", x=1)
-    bus.publish("b")
-    assert [r["kind"] for r in seen] == ["a", "b"]
+    telemetry = LiveTelemetry([Sink(), Sink()])
+    telemetry.begin(command="test")
+    telemetry.event("a", x=1)
+    telemetry.event("b")
+    telemetry.end()
+    # every sink sees every record, each stamped once, in one total order
+    assert [r["type"] for r in seen[::2]] == \
+        ["meta", "event", "event", "snapshot"]
+    assert seen[::2] == seen[1::2]
+    assert [r["seq"] for r in seen[::2]] == [0, 1, 2, 3]
+    assert seen[0]["format"] == TRACE_FORMAT
+    assert [r.get("kind") for r in seen[2:6:2]] == ["a", "b"]
+    assert seen[2]["fields"] == {"x": 1}
+    assert "dropped_events" not in seen[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +260,8 @@ def test_reports_identical_with_and_without_telemetry(
     assert render_csv(observed) == render_csv(baseline)
     assert render_text(observed) == render_text(baseline)
 
-    parsed = read_live(str(stream))
-    assert parsed.meta["format"] == LIVE_FORMAT
+    parsed = read_trace(str(stream))
+    assert parsed.meta["format"] == TRACE_FORMAT
     assert parsed.meta["policy"] == policy
     final = parsed.final_snapshot
     assert final is not None
@@ -268,23 +271,30 @@ def test_reports_identical_with_and_without_telemetry(
 
 
 def test_stream_reconciles_exactly_with_run_metrics(tmp_path, suite10):
+    from repro.obs import write_trace
+
     stream = tmp_path / "run.ndjson"
+    trace_path = tmp_path / "run.jsonl"
+    tracer = Tracer()
     runner = ValidationRunner(_PGI, HarnessConfig(
         iterations=2, languages=("c",), feature_prefixes=["parallel", "loop"],
-        live_stream=str(stream)))
+        live_stream=str(stream)), tracer=tracer)
     report = runner.run_suite(suite10)
     metrics = report.metrics
+    write_trace(str(trace_path), tracer)
 
-    parsed = read_live(str(stream))
-    tally = parsed.tally()
-    # integer totals folded from per-unit events match the report exactly
-    assert tally.units_done == metrics.templates == len(report.results)
-    assert tally.iterations_run == metrics.iterations_run
-    assert tally.compile_cache_hits == metrics.cache_hits
-    assert tally.compile_cache_misses == metrics.cache_misses
-    assert tally.failure_kinds == metrics.failure_kinds
-    assert tally.failed == len(report.failures())
-    assert tally.passed == len(report.results) - tally.failed
+    # the live stream and the run's trace file fold to the same totals
+    for source in (stream, trace_path):
+        tally = read_trace(str(source)).tally()
+        # integer totals folded from per-unit events match the report
+        assert tally.units_done == metrics.templates == len(report.results)
+        assert tally.iterations_run == metrics.iterations_run
+        assert tally.compile_cache_hits == metrics.cache_hits
+        assert tally.compile_cache_misses == metrics.cache_misses
+        assert tally.failure_kinds == metrics.failure_kinds
+        assert tally.failed == len(report.failures())
+        assert tally.passed == len(report.results) - tally.failed
+    parsed = read_trace(str(stream))
     # floats come from the authoritative run_metrics block of the final
     # snapshot (summation order differs across policies)
     final = parsed.final_snapshot
@@ -310,9 +320,33 @@ def test_live_telemetry_survives_engine_exception(tmp_path, suite10):
     # run completes; the point is the sink is closed with a final snapshot
     runner = ValidationRunner(_PGI, config)
     report = runner.run_suite(suite10)
-    parsed = read_live(str(stream))
+    parsed = read_trace(str(stream))
     assert parsed.final_snapshot is not None
     assert parsed.final_snapshot["units_done"] == len(report.results)
+
+
+@pytest.mark.parametrize("telemetry", ["traced", "untraced"])
+def test_retries_reach_the_stream_under_every_policy(
+        tmp_path, suite10, telemetry):
+    # worker-side retries are adopted by the parent and forwarded to the
+    # stream before its final snapshot: serial and process streams agree
+    # with each other and with the trace's engine.retry count
+    finals = {}
+    for policy, workers in (("serial", 1), ("process", 2)):
+        stream = tmp_path / f"{policy}.ndjson"
+        tracer = Tracer() if telemetry == "traced" else None
+        runner = ValidationRunner(config=_quick_config(
+            policy=policy, workers=workers, retries=2,
+            fault_plan=FaultPlan.parse("iteration=0.3,seed=7"),
+            live_stream=str(stream)), tracer=tracer)
+        runner.run_suite(suite10)
+        parsed = read_trace(str(stream))
+        finals[policy] = parsed.final_snapshot["retries"]
+        assert finals[policy] == len(parsed.events("engine.retry"))
+        if tracer is not None:
+            retries = [e for e in tracer.events if e.kind == "engine.retry"]
+            assert finals[policy] == len(retries)
+    assert finals["serial"] == finals["process"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +382,12 @@ def test_resume_marks_replayed_units(tmp_path, suite10):
     baseline = ValidationRunner(_PGI, _quick_config()).run_suite(suite10)
     assert render_csv(report) == render_csv(baseline)
 
-    parsed = read_live(str(stream))
+    parsed = read_trace(str(stream))
     tally = parsed.tally()
     assert tally.replayed >= 1
     assert tally.units_done == len(report.results)
-    replayed_events = [r for r in parsed.events("unit.finished")
-                       if r["fields"]["replayed"]]
+    replayed_events = [e for e in parsed.events("unit.finished")
+                       if e.fields["replayed"]]
     assert len(replayed_events) == tally.replayed
     final = parsed.final_snapshot
     assert final["replayed"] == tally.replayed
@@ -367,7 +401,8 @@ def test_resume_marks_replayed_units(tmp_path, suite10):
 
 def _write_stream(path, torn=False):
     telemetry = LiveTelemetry([NDJSONStreamSink(str(path))])
-    telemetry.begin(total_units=2, command="test")
+    telemetry.begin(command="test")
+    telemetry.event("campaign.start", total_units=2, command="test")
     telemetry.event("unit.finished", **_unit_event()["fields"])
     telemetry.end()
     if torn:
@@ -375,28 +410,31 @@ def _write_stream(path, torn=False):
             fh.write('{"type": "event", "kind": "unit.fin')  # killed mid-write
 
 
-def test_parse_live_strict_vs_tolerant(tmp_path):
+def test_stream_parse_strict_vs_tolerant(tmp_path):
     path = tmp_path / "t.ndjson"
     _write_stream(path, torn=True)
     with pytest.raises(ValueError, match="invalid JSON"):
-        read_live(str(path))
-    stream = read_live(str(path), strict=False)
+        read_trace(str(path))
+    stream = read_trace(str(path), strict=False)
     assert stream.malformed == 1
     assert stream.final_snapshot is not None
     assert stream.tally().units_done == 1
 
 
-def test_parse_live_rejects_wrong_format_even_tolerant():
+def test_stream_parse_rejects_wrong_format_even_tolerant():
     text = json.dumps({"type": "meta", "format": "something/else"})
     with pytest.raises(ValueError, match="unsupported format"):
-        parse_live(text, strict=False)
+        parse_trace(text, strict=False)
+    # the previous format version is a different format, not damage
+    text = json.dumps({"type": "meta", "format": _PREVIOUS_FORMAT})
+    with pytest.raises(ValueError, match="unsupported format"):
+        parse_trace(text, strict=False)
 
 
 def test_render_tally_text_reconciles(tmp_path):
     path = tmp_path / "t.ndjson"
     _write_stream(path)
-    stream = read_live(str(path))
-    text = render_tally_text(stream.tally(), final=stream.final_snapshot)
+    text = render_summary_text(summarize_trace(read_trace(str(path))))
     assert "units done         : 1/2" in text
     assert "compile cache      : 1 hits / 0 misses" in text
 
@@ -490,10 +528,9 @@ def test_live_knobs_do_not_change_campaign_identity(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_lowering_cache_counters_hit_and_miss():
+def test_lowering_cache_counters_hit_and_miss(suite10):
     from repro.compiler import Compiler
-    from repro.obs import render_summary_text, summarize_trace
-    from repro.obs.sink import parse_trace, trace_to_jsonl
+    from repro.obs.sink import trace_to_jsonl
 
     tracer = Tracer()
     compiled = Compiler().compile("int main() { return 0; }", "c")
@@ -502,16 +539,24 @@ def test_lowering_cache_counters_hit_and_miss():
         second = compiled.runner(backend="closures", tracer=tracer, name="t")
     assert first.lower_hit is False
     assert second.lower_hit is True
-    snapshot = tracer.metrics.snapshot()
-    assert snapshot["counters"]["lower.cache_misses"] == 1
-    assert snapshot["counters"]["lower.cache_hits"] == 1
     # tree backend never lowers
     assert compiled.runner(backend="tree", tracer=tracer).lower_hit is None
-
     trace = parse_trace(trace_to_jsonl(tracer, meta={"command": "t"}))
     summary = summarize_trace(trace)
-    assert summary.lower_hits == 1 and summary.lower_misses == 1
-    assert "lowering cache     : 1 hits / 1 misses" in \
+    assert summary.event_counts == {"lower.cache_miss": 1,
+                                    "lower.cache_hit": 1}
+
+    # in a run, lowering-cache totals are folded from the unit events
+    tracer = Tracer()
+    report = ValidationRunner(_PGI, _quick_config(
+        backend="closures", feature_prefixes=["parallel.if"]),
+        tracer=tracer).run_suite(suite10)
+    phase = report.results[0].functional
+    summary = summarize_trace(parse_trace(trace_to_jsonl(tracer)))
+    hits, misses = (1, 0) if phase.lower_hit else (0, 1)
+    assert summary.tally.lower_cache_hits == hits
+    assert summary.tally.lower_cache_misses == misses
+    assert f"lowering cache     : {hits} hits / {misses} misses" in \
         render_summary_text(summary)
 
 
@@ -557,8 +602,8 @@ def test_cli_validate_live_stream_prom_status(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "\r" in err and "100.0%" in err
 
-    parsed = read_live(str(stream))
-    assert parsed.meta["format"] == LIVE_FORMAT
+    parsed = read_trace(str(stream))
+    assert parsed.meta["format"] == TRACE_FORMAT
     assert parsed.final_snapshot["final"] is True
     assert lint_prometheus(prom.read_text()) == []
     sidecar = json.loads((tmp_path / "run.ndjson.snapshot.json").read_text())
@@ -602,6 +647,29 @@ def test_cli_obs_tail_follow_reads_to_final(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "unit.finished" in out
     assert "FINAL" in out
+
+
+def test_cli_obs_tail_follow_refuses_foreign_format_at_once(
+        tmp_path, capsys):
+    # a file in another format (here the old trace format) is refused on
+    # its meta line, with the non-follow message — not printed as "#?"
+    # lines until the idle timeout gives up
+    import time as _time
+
+    stream = tmp_path / "old.jsonl"
+    stream.write_text(
+        json.dumps({"type": "meta", "format": _PREVIOUS_FORMAT}) + "\n"
+        + json.dumps({"type": "event", "name": "x", "seq": 0}) + "\n")
+    assert main(["obs", "tail", str(stream)]) == 1
+    refused = capsys.readouterr().err
+    assert f"unsupported format {_PREVIOUS_FORMAT!r}" in refused
+    start = _time.monotonic()
+    assert main(["obs", "tail", str(stream), "--follow",
+                 "--poll-s", "0.01", "--idle-timeout-s", "20"]) == 1
+    assert _time.monotonic() - start < 10
+    captured = capsys.readouterr()
+    assert captured.err == refused
+    assert captured.out == ""
 
 
 def test_cli_obs_tail_missing_file(tmp_path, capsys):
@@ -655,7 +723,7 @@ def test_cli_titan_live_stream(tmp_path, capsys):
                "--live-stream", str(stream)])
     assert rc == 0
     capsys.readouterr()
-    parsed = read_live(str(stream))
+    parsed = read_trace(str(stream))
     tally = parsed.tally()
     assert tally.units_done >= 4  # sample*stacks + any triage rechecks
     assert parsed.final_snapshot is not None
@@ -712,7 +780,7 @@ def test_cli_obs_tail_follow_idle_timeout_exits_1(tmp_path, capsys):
     # data for --idle-timeout-s it gives up with exit 1
     stream = tmp_path / "dead.ndjson"
     telemetry = LiveTelemetry([NDJSONStreamSink(str(stream))])
-    telemetry.begin(total_units=2, command="test")
+    telemetry.begin(command="test")
     telemetry.event("unit.finished", **_unit_event()["fields"])
     # no .end(): the writer died — the stream has no final snapshot
     assert main(["obs", "tail", str(stream), "--follow",
@@ -739,7 +807,7 @@ def test_cli_obs_tail_follow_detects_shrinking_file(tmp_path, capsys):
 
     stream = tmp_path / "rotated.ndjson"
     telemetry = LiveTelemetry([NDJSONStreamSink(str(stream))])
-    telemetry.begin(total_units=100, command="test")
+    telemetry.begin(command="test")
     for _ in range(60):  # long enough that the rewrite below shrinks it
         telemetry.event("unit.finished", **_unit_event()["fields"])
     # no final snapshot yet — the follower keeps following
