@@ -1041,7 +1041,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "cache hit rate, worker utilization); written next "
                         "to --output as FILE.metrics.txt/.csv, else printed")
     p.add_argument("--no-compile-cache", action="store_true",
-                   help="disable compile memoisation")
+                   help="disable the per-behaviour compile cache (the "
+                        "process-wide parse memo always applies; neither "
+                        "changes results)")
     p.add_argument("--backend", default="tree",
                    choices=list(INTERPRETER_BACKENDS),
                    help="interpreter backend: the reference tree walker or "

@@ -1,13 +1,19 @@
-"""Compile cache: memoise ``Compiler.compile`` across suite runs.
+"""Compile cache: memoise ``Compiler.compile`` for one behaviour.
 
-The harness compiles the same generated program many times: repeated
-iterations of one phase share a :class:`CompiledProgram` already, but the
-Fig. 8 version sweeps, the Titan node sweeps and benchmark rounds recompile
-byte-identical sources over and over.  A :class:`CompileCache` keyed on
-``(source, language, name, behavior)`` makes every repeat a dictionary
-lookup.  ``CompilerBehavior`` is a frozen (hashable) dataclass, so keying on
-the whole behaviour — rather than just its label — guarantees two
+Repeated iterations of one phase share a :class:`CompiledProgram`
+already; a :class:`CompileCache` keyed on ``(source, language, name,
+behavior)`` makes every later compile of the same source *by the same
+implementation* a dictionary lookup, with the lowering attached — runs
+that reuse one runner (benchmark rounds, a campaign's repeated phases)
+hit it.  ``CompilerBehavior`` is a frozen (hashable) dataclass, so keying
+on the whole behaviour — rather than just its label — guarantees two
 implementations can never alias each other's cache entries.
+
+It does not cover a Fig. 8 sweep: each sweep cell builds a fresh runner
+for a new behaviour, so its lookups all miss.  What those cells share is
+the parse, and :data:`repro.compiler.pipeline.PARSE_MEMO` (keyed on
+``(source, language, name)``, below this cache, process-wide) parses each
+source once for every behaviour and runner in the process.
 
 Compile *errors* are cached too (negative caching): a vendor version that
 rejects a directive rejects it identically on every attempt, and the

@@ -9,7 +9,7 @@ all ("wrong code bugs ... generate wrong results in silence").
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.ir.astnodes import SourceLocation
 
@@ -21,6 +21,10 @@ class CompileError(Exception):
         self.loc = loc or SourceLocation()
         self.message = message
         super().__init__(f"{self.loc}: {message}")
+
+    def __reduce__(self):
+        # ``args`` holds the rendered text: rebuild from the parts instead
+        return self.__class__, (self.message, self.loc)
 
 
 class UnsupportedFeatureError(CompileError):
@@ -41,6 +45,13 @@ class CompilerCrashError(CompileError):
     """
 
     def __init__(self, message: str, loc: Optional[SourceLocation] = None,
-                 cause: Optional[BaseException] = None):
+                 cause: Union[BaseException, str, None] = None):
         super().__init__(message, loc)
         self.cause = cause
+
+    def __reduce__(self):
+        # the cause may not pickle; its repr always does
+        cause = self.cause
+        if cause is not None and not isinstance(cause, str):
+            cause = repr(cause)
+        return self.__class__, (self.message, self.loc, cause)

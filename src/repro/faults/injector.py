@@ -217,5 +217,5 @@ class FaultyCompiler:
         self.injector.compile_site(name)
         return self.inner.compile(source, language, name)
 
-    def validate(self, program):
-        return self.inner.validate(program)
+    def validate(self, facts):
+        return self.inner.validate(facts)

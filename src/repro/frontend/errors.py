@@ -21,6 +21,10 @@ class FrontendError(Exception):
         super().__init__(f"{self.loc}: {message}")
         self.message = message
 
+    def __reduce__(self):
+        # ``args`` holds the rendered text: rebuild from the parts instead
+        return self.__class__, (self.message, self.loc)
+
 
 class LexError(FrontendError):
     pass

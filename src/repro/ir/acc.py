@@ -71,7 +71,7 @@ def normalize_clause_name(name: str) -> str:
     return _CLAUSE_ALIASES.get(name, name)
 
 
-@dataclass
+@dataclass(slots=True)
 class Section(Node):
     """A subarray section ``[start:length]`` in a data clause."""
 
@@ -79,7 +79,7 @@ class Section(Node):
     length: Optional[Expr] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DataRef(Node):
     """A variable (possibly sectioned) named in a data clause."""
 
@@ -87,7 +87,7 @@ class DataRef(Node):
     sections: List[Section] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Clause(Node):
     """One clause on a directive.
 
@@ -113,7 +113,7 @@ class Clause(Node):
         return [r.name for r in self.refs]
 
 
-@dataclass
+@dataclass(slots=True)
 class Directive(Node):
     """A parsed directive line: kind + clauses."""
 

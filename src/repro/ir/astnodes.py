@@ -4,7 +4,9 @@ The mini-C and mini-Fortran parsers both produce this AST; the interpreter,
 the OpenACC lowering and the vendor bug-injection hooks all operate on it.
 Nodes are plain dataclasses; no behaviour lives here beyond generic traversal
 (:func:`walk`) so that compiler passes stay free to interpret structure as
-they need.
+they need.  They are slotted (no per-instance ``__dict__``, so no ad-hoc
+attributes): smaller trees, and faster to restore from the pickles the
+compiler's parse memo keeps.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterator, List, Optional, Sequence, Union
 from repro.ir.types import Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLocation:
     """Position of a construct in the original (generated) source file."""
 
@@ -26,8 +28,13 @@ class SourceLocation:
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"
 
+    def __reduce__(self):
+        # every node of a pickled tree carries one: the constructor
+        # restores it faster than the frozen-slots state protocol does
+        return SourceLocation, (self.filename, self.line, self.column)
 
-@dataclass
+
+@dataclass(slots=True)
 class Node:
     """Base class for all AST nodes."""
 
@@ -39,17 +46,17 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FloatLit(Expr):
     value: float
     # Whether the literal was written single precision (``1.0f`` in C,
@@ -57,17 +64,17 @@ class FloatLit(Expr):
     single: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class StringLit(Expr):
     value: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Ident(Expr):
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Slice(Expr):
     """An array section ``[start:length]`` (only valid inside data clauses)."""
 
@@ -75,7 +82,7 @@ class Slice(Expr):
     length: Optional[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class Index(Expr):
     """Array subscript ``base[i0][i1]...`` / ``base(i0, i1)``."""
 
@@ -83,33 +90,33 @@ class Index(Expr):
     indices: List[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     name: str
     args: List[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: str  # '-', '+', '!', '~'
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: str  # arithmetic, comparison, logical, bitwise, '%', '**'
     left: Expr
     right: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Conditional(Expr):
     cond: Expr
     then: Expr
     other: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast(Expr):
     type: Type
     operand: Expr
@@ -120,17 +127,17 @@ class Cast(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Block(Stmt):
     stmts: List[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl(Node):
     """A single declared variable (possibly an array).
 
@@ -146,12 +153,12 @@ class VarDecl(Node):
     lowers: List[Optional[Expr]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class DeclStmt(Stmt):
     decls: List[VarDecl] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Stmt):
     """``target op= value``; ``op`` is '' for plain assignment."""
 
@@ -160,19 +167,19 @@ class Assign(Stmt):
     op: str = ""  # '', '+', '-', '*', '/', '%', '&', '|', '^'
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then: Stmt
     other: Optional[Stmt] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class For(Stmt):
     """A canonical counted loop.
 
@@ -191,23 +198,23 @@ class For(Stmt):
     inclusive: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass
+@dataclass(slots=True)
 class Break(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Continue(Stmt):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Stmt):
     value: Optional[Expr] = None
 
@@ -218,7 +225,7 @@ class Return(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class AccConstruct(Stmt):
     """A structured construct: ``parallel``, ``kernels``, ``data``,
     ``host_data`` — a directive applied to a following block."""
@@ -227,7 +234,7 @@ class AccConstruct(Stmt):
     body: Stmt
 
 
-@dataclass
+@dataclass(slots=True)
 class AccLoop(Stmt):
     """A ``loop`` (or combined ``parallel loop`` / ``kernels loop``)
     directive attached to the immediately following :class:`For`."""
@@ -236,7 +243,7 @@ class AccLoop(Stmt):
     loop: For
 
 
-@dataclass
+@dataclass(slots=True)
 class AccStandalone(Stmt):
     """An executable directive with no body: ``update``, ``wait``,
     ``cache``, ``enter data`` / ``exit data`` (2.0)."""
@@ -249,14 +256,14 @@ class AccStandalone(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class FuncParam(Node):
     name: str
     type: Type
     is_array: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Function(Node):
     name: str
     return_type: Type
@@ -266,7 +273,7 @@ class Function(Node):
     declares: List["repro.ir.acc.Directive"] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Program(Node):
     """A standalone translation unit as produced by the test generator."""
 

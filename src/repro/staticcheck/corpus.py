@@ -59,14 +59,6 @@ def _template_version(template: TestTemplate) -> SpecVersion:
         return ACC_10
 
 
-def _parse_source(source: str, language: str, name: str):
-    if language == "fortran":
-        from repro.minifort import parse_program
-    else:
-        from repro.minic import parse_program
-    return parse_program(source, filename=name, name=name)
-
-
 def lint_program(program, version: SpecVersion = ACC_10) -> List[Diagnostic]:
     """Legality, dependence, data-environment and async passes over one
     parsed program."""
@@ -85,8 +77,10 @@ def lint_source(
 
     Inline ``acc-lint: disable`` comments in the source are honoured.
     """
+    from repro.compiler.pipeline import PARSE_MEMO  # imports legality
+
     try:
-        program = _parse_source(source, language, name)
+        program, _ = PARSE_MEMO.parse(source, language, name)
     except FrontendError as err:
         return [Diagnostic(
             "ACC301",
@@ -111,10 +105,11 @@ def lint_template_raw(template: TestTemplate) -> List[Diagnostic]:
     except TemplateError as err:
         return [Diagnostic("ACC301", f"functional variant fails to "
                                      f"generate: {err}")]
+    from repro.compiler.pipeline import PARSE_MEMO
+
     try:
-        program = _parse_source(
-            functional.source, template.language, template.name
-        )
+        program, _ = PARSE_MEMO.parse(functional.source, template.language,
+                                      template.name)
     except FrontendError as err:
         diags.append(Diagnostic(
             "ACC301",

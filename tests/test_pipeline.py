@@ -1,6 +1,8 @@
 """Tests for the compile pipeline: validation diagnostics, version gating,
 vendor compile-time restrictions."""
 
+import pickle
+
 import pytest
 
 from repro.compiler import (
@@ -9,6 +11,9 @@ from repro.compiler import (
     CompilerBehavior,
     UnsupportedFeatureError,
 )
+from repro.compiler.errors import CompilerCrashError
+from repro.frontend.errors import FrontendError, ParseError
+from repro.ir.astnodes import SourceLocation
 from repro.spec.versions import ACC_20
 
 
@@ -166,3 +171,31 @@ class TestVendorRestrictions:
         first = prog.run(rng_seed=1)
         second = prog.run(rng_seed=1)
         assert first.value == second.value
+
+
+class TestErrorPickling:
+    """Errors cross process boundaries: the round trip keeps the class,
+    the text and the location."""
+
+    LOC = SourceLocation("t.c", 3, 4)
+
+    def _round_trip(self, err):
+        return pickle.loads(pickle.dumps(err, pickle.HIGHEST_PROTOCOL))
+
+    @pytest.mark.parametrize("cls", [CompileError, UnsupportedFeatureError,
+                                     FrontendError, ParseError])
+    def test_message_and_loc_survive(self, cls):
+        back = self._round_trip(cls("boom", self.LOC))
+        assert type(back) is cls
+        assert str(back) == "t.c:3:4: boom"
+        assert (back.message, back.loc) == ("boom", self.LOC)
+
+    def test_crash_carries_its_cause_as_repr(self):
+        crash = CompilerCrashError("internal compiler crash", self.LOC,
+                                   cause=ValueError("bad node"))
+        back = self._round_trip(crash)
+        assert type(back) is CompilerCrashError
+        assert str(back) == "t.c:3:4: internal compiler crash"
+        assert back.loc == self.LOC
+        assert back.cause == "ValueError('bad node')"
+        assert self._round_trip(back).cause == "ValueError('bad node')"
