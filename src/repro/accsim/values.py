@@ -2,10 +2,14 @@
 
 Every variable binding is a :class:`Cell` (a mutable box) so that device
 mappings can alias host storage by identity — the present table is keyed by
-cell.  Arrays are :class:`ArrayValue` (numpy storage plus declared lower
-bounds, so C 0-based and Fortran 1-based/sectioned indexing share one
-implementation).  Device heap allocations made via ``acc_malloc`` are
-:class:`DevicePointer` handles.
+cell.  Arrays are :class:`ArrayValue`: one flat stdlib :class:`array.array`
+in row-major order (typecode ``'q'``, signed 64-bit, for every integer type;
+``'d'``, 64-bit IEEE, for every floating type) plus the shape, row-major
+strides and declared lower bounds, so C 0-based and Fortran
+1-based/sectioned indexing share one implementation.  That layout is known
+to this module only; callers use ``get``/``set``, sections, ``shape``,
+``nbytes`` and the constructor's ``fill``.  Device heap allocations made via
+``acc_malloc`` are :class:`DevicePointer` handles.
 
 Floating point note: C ``float`` / Fortran ``real`` values are *stored and
 computed in double precision*.  The paper's floating-point reduction oracle
@@ -17,62 +21,68 @@ nothing about directive conformance, so we deliberately keep one precision
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from array import array
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.accsim.errors import AccRuntimeError
-from repro.ir.types import Type
+from repro.ir.types import SIZEOF, Type
 
-_NUMPY_DTYPES = {
-    "int": np.int64,
-    "long": np.int64,
-    "char": np.int64,
-    "bool": np.int64,
-    "float": np.float64,
-    "double": np.float64,
+#: storage typecode per element type (8 bytes per element either way)
+_TYPECODES = {
+    "int": "q",
+    "long": "q",
+    "char": "q",
+    "bool": "q",
+    "float": "d",
+    "double": "d",
 }
-
-
-def numpy_dtype(type_base: str):
-    try:
-        return _NUMPY_DTYPES[type_base]
-    except KeyError:
-        raise AccRuntimeError(f"cannot allocate array of {type_base!r}") from None
-
-
-def scalar_default(type_base: str):
-    """Default (uninitialised) scalar value.  We use a sentinel-ish nonzero
-    value so tests that read uninitialised data notice (mirrors the paper's
-    copyout test relying on non-deterministic uninitialised device data)."""
-    if type_base in ("float", "double"):
-        return 0.0
-    return 0
 
 
 class ArrayValue:
     """An n-dimensional array with declared lower bounds.
 
     ``lowers[d]`` is the index of the first element along dimension ``d``
-    (0 for C, typically 1 for Fortran).
+    (0 for C, typically 1 for Fortran).  ``fill`` is either one scalar for
+    every element or a list (or array) of exactly one value per element
+    in row-major order; a float stored into an integer array truncates toward
+    zero, and an integer outside the signed 64-bit range raises
+    :class:`OverflowError`.
     """
 
-    __slots__ = ("data", "type_base", "lowers")
+    __slots__ = ("_data", "_strides", "shape", "type_base", "lowers")
 
     def __init__(
         self,
         shape: Sequence[int],
         type_base: str,
         lowers: Optional[Sequence[int]] = None,
-        fill: Optional[float] = None,
+        fill=None,
     ):
         shape = tuple(int(s) for s in shape)
         if any(s < 0 for s in shape):
             raise AccRuntimeError(f"negative array extent {shape}")
-        self.data = np.zeros(shape, dtype=numpy_dtype(type_base))
-        if fill is not None:
-            self.data.fill(fill)
+        try:
+            typecode = _TYPECODES[type_base]
+        except KeyError:
+            raise AccRuntimeError(f"cannot allocate array of {type_base!r}") from None
+        strides = []
+        size = 1
+        for extent in reversed(shape):
+            strides.append(size)
+            size *= extent
+        if isinstance(fill, (list, array)):
+            data = _typed(typecode, fill)
+            if len(data) != size:
+                raise AccRuntimeError(
+                    f"fill of {len(data)} elements for shape {shape}"
+                )
+        else:
+            value = _convert(typecode, 0 if fill is None else fill)
+            data = array(typecode, [value]) * size
+        self._data = data
+        self._strides = tuple(reversed(strides))
+        self.shape = shape
         self.type_base = type_base
         self.lowers = tuple(int(l) for l in (lowers or (0,) * len(shape)))
         if len(self.lowers) != len(shape):
@@ -80,60 +90,89 @@ class ArrayValue:
 
     # -- indexing ----------------------------------------------------------
 
-    def _offset(self, indices: Sequence[int]) -> Tuple[int, ...]:
-        if len(indices) != self.data.ndim:
+    def _flat(self, indices: Sequence[int]) -> int:
+        shape = self.shape
+        if len(indices) != len(shape):
             raise AccRuntimeError(
-                f"rank mismatch: {len(indices)} subscripts for rank-{self.data.ndim} array"
+                f"rank mismatch: {len(indices)} subscripts for rank-{len(shape)} array"
             )
-        off = tuple(int(i) - l for i, l in zip(indices, self.lowers))
-        for o, extent in zip(off, self.data.shape):
+        flat = 0
+        for i, l, extent, stride in zip(indices, self.lowers, shape, self._strides):
+            o = int(i) - l
             if o < 0 or o >= extent:
                 raise AccRuntimeError(
-                    f"index out of bounds: subscript {indices} for shape {self.data.shape} "
+                    f"index out of bounds: subscript {indices} for shape {shape} "
                     f"(lower bounds {self.lowers})"
                 )
-        return off
+            flat += o * stride
+        return flat
 
     def get(self, indices: Sequence[int]):
-        value = self.data[self._offset(indices)]
-        if self.type_base in ("float", "double"):
-            return float(value)
-        return int(value)
+        return self._data[self._flat(indices)]
 
     def set(self, indices: Sequence[int], value) -> None:
-        self.data[self._offset(indices)] = value
+        flat = self._flat(indices)
+        data = self._data
+        if data.typecode == "q" and type(value) is not int:
+            value = int(value)
+        data[flat] = value
 
     # -- sections ------------------------------------------------------------
 
     @property
     def length(self) -> int:
         """Extent of the first dimension (the sectioned one)."""
-        return int(self.data.shape[0])
+        return self.shape[0]
 
-    def read_section(self, start: int, length: int) -> np.ndarray:
-        """Copy of rows [start, start+length) in *declared* index space."""
+    @property
+    def nbytes(self) -> int:
+        """Storage size: 8 bytes per element."""
+        return len(self._data) * self._data.itemsize
+
+    def read_section(self, start: int, length: int) -> array:
+        """Copy of rows [start, start+length) in *declared* index space, as
+        a flat row-major :class:`array.array` of this array's element type."""
         lo = start - self.lowers[0]
-        if lo < 0 or lo + length > self.data.shape[0]:
+        if lo < 0 or lo + length > self.shape[0]:
             raise AccRuntimeError(
                 f"section [{start}:{start + length}) outside array bounds"
             )
-        return self.data[lo : lo + length].copy()
+        row = self._strides[0]
+        return self._data[lo * row : (lo + length) * row]
 
-    def write_section(self, start: int, values: np.ndarray) -> None:
+    def write_section(self, start: int, values: Sequence) -> None:
+        """Overwrite whole rows from ``start`` with ``values``, a flat
+        row-major section such as :meth:`read_section` returns."""
+        row = self._strides[0]
+        rows = -(-len(values) // row) if row else 0
         lo = start - self.lowers[0]
-        if lo < 0 or lo + len(values) > self.data.shape[0]:
+        if lo < 0 or lo + rows > self.shape[0]:
             raise AccRuntimeError(
-                f"section write [{start}:{start + len(values)}) outside array bounds"
+                f"section write [{start}:{start + rows}) outside array bounds"
             )
-        self.data[lo : lo + len(values)] = values
+        self._data[lo * row : lo * row + len(values)] = _typed(
+            self._data.typecode, values
+        )
 
     def clone(self) -> "ArrayValue":
-        out = ArrayValue(self.data.shape, self.type_base, self.lowers)
-        out.data[...] = self.data
-        return out
+        return ArrayValue(self.shape, self.type_base, self.lowers, fill=self._data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ArrayValue({self.type_base}{list(self.data.shape)}, lowers={self.lowers})"
+        return f"ArrayValue({self.type_base}{list(self.shape)}, lowers={self.lowers})"
+
+
+def _convert(typecode: str, value):
+    return int(value) if typecode == "q" else float(value)
+
+
+def _typed(typecode: str, values) -> array:
+    """A new array of ``typecode`` holding ``values``.  The stdlib copies a
+    same-typed array and converts ints (and floats into ``'d'``) itself;
+    only floats into an integer array need truncating one by one."""
+    try:
+        return array(typecode, values)
+    except TypeError:
+        return array(typecode, [_convert(typecode, v) for v in values])
 
 
 @dataclass
@@ -149,15 +188,14 @@ class DevicePointer:
     def as_array(self, type_base: str) -> ArrayValue:
         if self.freed:
             raise AccRuntimeError("use of device pointer after acc_free")
-        itemsize = 4 if type_base in ("int", "float", "char", "bool") else 8
-        length = self.nbytes // itemsize
+        length = self.nbytes // SIZEOF.get(type_base, 8)
         if self.buffer is None:
             self.buffer = ArrayValue((length,), type_base)
         elif self.buffer.type_base != type_base or self.buffer.length != length:
             # retyping a raw allocation: preserve length by element count
             fresh = ArrayValue((length,), type_base)
             n = min(length, self.buffer.length)
-            fresh.data[:n] = self.buffer.data[:n]
+            fresh._data[:n] = _typed(fresh._data.typecode, self.buffer._data[:n])
             self.buffer = fresh
         return self.buffer
 

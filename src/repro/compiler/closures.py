@@ -54,7 +54,6 @@ from repro.accsim.values import ArrayValue, Cell, DevicePointer, coerce_scalar
 from repro.compiler.interp import (
     _BUILTINS,
     _MallocResult,
-    _SIZEOF,
     _as_int,
     _cell_scalar,
     _default_lower,
@@ -96,6 +95,7 @@ from repro.ir.astnodes import (
     VarDecl,
     While,
 )
+from repro.ir.types import SIZEOF
 
 #: acc statement kinds are never memoised: combined directives synthesise a
 #: fresh ``AccLoop`` node per execution (see ``AccExecutor.exec_acc_loop``),
@@ -643,10 +643,8 @@ class _Lowerer:
                     (_as_int(c(I, S)) if c is not None else default_lower)
                     for c in lower_cs
                 ]
-                value = ArrayValue(shape, base, lowers)
-                if init_c is not None:
-                    value.data.fill(init_c(I, S))
-                return value
+                fill = init_c(I, S) if init_c is not None else None
+                return ArrayValue(shape, base, lowers, fill=fill)
         elif typ.pointer > 0:
             init_c = self.lower_expr(decl.init) if decl.init is not None else None
 
@@ -1274,7 +1272,7 @@ class _Lowerer:
         operand_c = self.lower_expr(expr.operand)
         typ = expr.type
         if typ.pointer > 0:
-            size = _SIZEOF.get(typ.base, 8)
+            size = SIZEOF.get(typ.base, 8)
             base = typ.base
 
             def run(I, S):

@@ -58,6 +58,7 @@ from repro.ir.astnodes import (
     VarDecl,
     While,
 )
+from repro.ir.types import SIZEOF
 from repro.spec.devices import (
     ACC_DEVICE_DEFAULT,
     ACC_DEVICE_HOST,
@@ -515,7 +516,7 @@ class Interpreter:
         if expr.type.pointer > 0:
             # (T*)malloc(nbytes) / (T*)acc_malloc(nbytes)
             if isinstance(value, _MallocResult):
-                size = _SIZEOF.get(expr.type.base, 8)
+                size = SIZEOF.get(expr.type.base, 8)
                 count = value.nbytes // size
                 return ArrayValue((count,), expr.type.base)
             return value  # pointer-to-pointer casts are identity here
@@ -601,10 +602,8 @@ class Interpreter:
                 (_as_int(self.eval(l, env)) if l is not None else _default_lower(self.program.language))
                 for l in (decl.lowers or [None] * len(shape))
             ]
-            value: object = ArrayValue(shape, decl.type.base, lowers)
-            if decl.init is not None:
-                fill = self.eval(decl.init, env)
-                value.data.fill(fill)
+            fill = self.eval(decl.init, env) if decl.init is not None else None
+            value: object = ArrayValue(shape, decl.type.base, lowers, fill=fill)
         elif decl.type.pointer > 0:
             value = self.eval(decl.init, env) if decl.init is not None else None
         else:
@@ -645,9 +644,6 @@ class Interpreter:
 @dataclass
 class _MallocResult:
     nbytes: int
-
-
-_SIZEOF = {"int": 4, "long": 8, "float": 4, "double": 8, "char": 1, "bool": 4}
 
 
 def _as_int(value) -> int:

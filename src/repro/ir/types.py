@@ -61,6 +61,10 @@ CHAR = Type("char")
 BOOL = Type("bool")
 VOID = Type("void")
 
+#: C ``sizeof`` of each scalar base type in bytes: the mini-C ``sizeof``
+#: operator and every typed view of raw ``malloc``/``acc_malloc`` bytes
+SIZEOF = {"int": 4, "long": 8, "float": 4, "double": 8, "char": 1, "bool": 4}
+
 #: surface-syntax names accepted by the mini-C parser
 C_TYPE_NAMES = {
     "int": INT,

@@ -48,10 +48,8 @@ from repro.ir.astnodes import (
     VarDecl,
     While,
 )
-from repro.ir.types import C_TYPE_NAMES, Type
+from repro.ir.types import C_TYPE_NAMES, SIZEOF, Type
 from repro.minic.lexer import tokenize
-
-_SIZEOF = {"int": 4, "long": 8, "float": 4, "double": 8, "char": 1, "bool": 4}
 
 _REGION_KINDS = {"parallel", "kernels", "data", "host_data"}
 _LOOP_KINDS = {"loop", "parallel loop", "kernels loop"}
@@ -451,7 +449,7 @@ class CParser:
             ts.expect_op("(")
             inner = self._parse_type()
             ts.expect_op(")")
-            return IntLit(_SIZEOF[inner.base] if inner.pointer == 0 else 8, loc=tok.loc)
+            return IntLit(SIZEOF[inner.base] if inner.pointer == 0 else 8, loc=tok.loc)
         if tok.is_op("(") and self._paren_is_cast(ts):
             ts.advance()
             ctype = self._parse_type()

@@ -1,7 +1,14 @@
 """Tests for the accelerator simulator: values, memory, async queues,
-machine and the runtime library."""
+machine and the runtime library.
 
-import numpy as np
+The property tests use numpy as a differential oracle for the flat array
+store (the parent storage was an ``np.ndarray``); they skip where numpy is
+not installed, the runtime itself never imports it.
+"""
+
+import itertools
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,13 +28,31 @@ from repro.accsim.errors import (
     InvalidDeviceError,
     PresentError,
 )
-from repro.accsim.memory import fill_garbage
+from repro.accsim.memory import garbage_fill
 from repro.spec.devices import (
     ACC_DEVICE_HOST,
     ACC_DEVICE_NONE,
     ACC_DEVICE_NOT_HOST,
     ACC_DEVICE_NVIDIA,
 )
+
+
+@pytest.fixture(scope="module")
+def np():
+    return pytest.importorskip("numpy")
+
+
+#: element values a program may store: integers, and floats (negative and
+#: fractional ones exercise truncation toward zero into integer arrays)
+_ELEMENTS = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+def _positions(shape):
+    """Every zero-based position of ``shape`` in row-major order."""
+    return list(itertools.product(*(range(extent) for extent in shape)))
 
 
 class TestArrayValue:
@@ -65,12 +90,12 @@ class TestArrayValue:
         assert isinstance(a.get([0]), float)
 
     def test_sections_respect_declared_space(self):
-        a = ArrayValue((10,), "int", lowers=(1,))
-        a.data[:] = np.arange(10)
+        a = ArrayValue((10,), "int", lowers=(1,), fill=list(range(10)))
         section = a.read_section(3, 4)  # declared indices 3..6
         assert list(section) == [2, 3, 4, 5]
-        a.write_section(3, np.array([9, 9, 9, 9]))
+        a.write_section(3, [9, 9, 9, 9])
         assert a.get([3]) == 9 and a.get([6]) == 9
+        assert a.get([2]) == 1 and a.get([7]) == 6
 
     def test_clone_is_independent(self):
         a = ArrayValue((3,), "int")
@@ -78,12 +103,54 @@ class TestArrayValue:
         b.set([0], 5)
         assert a.get([0]) == 0
 
-    @given(st.integers(1, 50), st.integers(-5, 5))
-    def test_indexing_matches_numpy(self, n, lower):
-        a = ArrayValue((n,), "int", lowers=(lower,))
-        a.data[:] = np.arange(n)
-        for offset in (0, n // 2, n - 1):
-            assert a.get([lower + offset]) == offset
+    @given(st.data())
+    def test_indexing_matches_numpy(self, np, data):
+        rank = data.draw(st.integers(1, 3))
+        dims = st.lists(st.integers(1, 4), min_size=rank, max_size=rank)
+        shape = tuple(data.draw(dims))
+        lowers = tuple(data.draw(
+            st.lists(st.integers(-5, 5), min_size=rank, max_size=rank)))
+        base = data.draw(st.sampled_from(["int", "long", "float", "double"]))
+        dtype = np.float64 if base in ("float", "double") else np.int64
+        fill = data.draw(_ELEMENTS)
+        a = ArrayValue(shape, base, lowers, fill=fill)
+        ref = np.zeros(shape, dtype=dtype)
+        ref.fill(fill)
+        positions = _positions(shape)
+        values = data.draw(st.lists(_ELEMENTS, min_size=len(positions),
+                                    max_size=len(positions)))
+        declared = [[p + l for p, l in zip(pos, lowers)] for pos in positions]
+        for pos, idx in zip(positions, declared):
+            assert a.get(idx) == ref[pos]
+        copy = a.clone()
+        for pos, idx, value in zip(positions, declared, values):
+            a.set(idx, value)
+            ref[pos] = value
+        for pos, idx in zip(positions, declared):
+            got = a.get(idx)
+            assert type(got) is type(ref[pos].item())
+            assert got == ref[pos]
+        # the clone kept the fill and stays independent of its source
+        copy.set(declared[0], 42)
+        assert a.get(declared[0]) == ref[positions[0]]
+        assert all(copy.get(idx) == ref.dtype.type(fill) for idx in declared[1:])
+        if dtype is np.int64:
+            a.set(declared[-1], -2.7)
+            ref[positions[-1]] = -2.7
+            assert a.get(declared[-1]) == ref[positions[-1]] == -2
+            with pytest.raises(OverflowError):
+                ref[positions[-1]] = 2**63
+            with pytest.raises(OverflowError):
+                a.set(declared[-1], 2**63)
+        bad = list(declared[-1])
+        bad[-1] += 1
+        with pytest.raises(AccRuntimeError, match=re.escape(
+                f"index out of bounds: subscript {bad} for shape {ref.shape} "
+                f"(lower bounds {lowers})")):
+            a.get(bad)
+        with pytest.raises(AccRuntimeError, match=re.escape(
+                f"rank mismatch: {rank + 1} subscripts for rank-{ref.ndim} array")):
+            a.get(declared[0] + [0])
 
 
 class TestDevicePointer:
@@ -92,6 +159,32 @@ class TestDevicePointer:
         assert p.as_array("int").length == 10
         p2 = DevicePointer(nbytes=40)
         assert p2.as_array("double").length == 5
+        p3 = DevicePointer(nbytes=40)
+        assert p3.as_array("char").length == 40
+
+    @given(st.data())
+    def test_retype_matches_numpy_cast(self, np, data):
+        """Retyping a raw allocation keeps the leading elements, converted
+        exactly as the parent's numpy slice assignment did."""
+        nbytes = data.draw(st.integers(0, 64))
+        first, second = data.draw(st.sampled_from(
+            [("int", "double"), ("double", "int"), ("long", "float")]))
+        dtypes = {"int": np.int64, "long": np.int64,
+                  "float": np.float64, "double": np.float64}
+        p = DevicePointer(nbytes=nbytes)
+        a = p.as_array(first)
+        values = data.draw(st.lists(_ELEMENTS, min_size=a.length,
+                                    max_size=a.length))
+        ref_a = np.zeros(a.length, dtype=dtypes[first])
+        for i, value in enumerate(values):
+            a.set([i], value)
+            ref_a[i] = value
+        b = p.as_array(second)
+        ref_b = np.zeros(b.length, dtype=dtypes[second])
+        n = min(a.length, b.length)
+        ref_b[:n] = ref_a[:n]
+        assert [b.get([i]) for i in range(b.length)] == ref_b.tolist()
+        assert p.as_array(second) is b
 
     def test_use_after_free_raises(self):
         memory = DeviceMemory()
@@ -241,33 +334,71 @@ class TestDeviceMemory:
         memory = DeviceMemory()
         cell, _ = self._cell(n=10)
         mapping = memory.enter("create", cell, 0, 10)
-        assert memory.bytes_allocated == mapping.device_data.data.nbytes
+        assert memory.bytes_allocated == mapping.device_data.nbytes == 80
         memory.exit(mapping)
         assert memory.bytes_allocated == 0
 
     def test_fill_garbage_deterministic(self):
-        a = ArrayValue((8,), "int")
-        b = ArrayValue((8,), "int")
-        fill_garbage(a, 3)
-        fill_garbage(b, 3)
-        assert np.array_equal(a.data, b.data)
-        fill_garbage(b, 4)
-        assert not np.array_equal(a.data, b.data)
+        assert garbage_fill((8,), "int", 3) == garbage_fill((8,), "int", 3)
+        assert garbage_fill((8,), "int", 3) != garbage_fill((8,), "int", 4)
 
-    @given(st.integers(1, 30), st.integers(0, 10))
-    def test_section_copy_roundtrip(self, n, start_off):
-        length = max(1, n - start_off)
-        if start_off + length > n:
-            length = n - start_off
-        if length <= 0:
-            return
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=3),
+           st.integers(0, 10**6), st.sampled_from(["int", "double"]))
+    def test_garbage_matches_numpy_pattern(self, np, shape, salt, base):
+        """The flat pattern is the parent's vectorised one, element for
+        element, and a fresh device allocation holds it in row-major order."""
+        idx = np.arange(int(np.prod(shape)), dtype=np.int64)
+        pattern = ((salt * 2654435761 + idx * 40503) % 1000003) - 500000
+        if base == "double":
+            pattern = pattern.astype(np.float64) * 1e-3
+        assert garbage_fill(shape, base, salt) == pattern.tolist()
+        device = ArrayValue(shape, base, fill=garbage_fill(shape, base, salt))
+        ref = pattern.reshape(shape)
+        for pos in _positions(shape):
+            assert device.get(list(pos)) == ref[pos]
+
+    @given(st.data())
+    def test_section_copy_roundtrip(self, np, data):
+        """copy(a[start:length]) of a rank-1 or rank-2 array: the device
+        rows, the copied-back host and the transfer sizes match numpy."""
+        rows = data.draw(st.integers(1, 8))
+        shape = (rows,) + tuple(data.draw(
+            st.lists(st.integers(0, 4), max_size=1)))
+        lower = data.draw(st.integers(-3, 3))
+        start_off = data.draw(st.integers(0, rows - 1))
+        length = data.draw(st.integers(1, rows - start_off))
+        base = data.draw(st.sampled_from(["int", "double"]))
+        lowers = (lower,) + (0,) * (len(shape) - 1)
+        size = int(np.prod(shape))
+        ref = np.arange(size, dtype=np.int64 if base == "int" else np.float64)
+        ref = ref.reshape(shape) - 3
         memory = DeviceMemory()
-        host = ArrayValue((n,), "int")
-        host.data[:] = np.arange(n)
+        host = ArrayValue(shape, base, lowers, fill=ref.ravel().tolist())
         cell = Cell(host, name="h")
-        mapping = memory.enter("copy", cell, start_off, length)
+        start = lower + start_off
+        assert (list(host.read_section(start, length))
+                == ref[start_off:start_off + length].ravel().tolist())
+        mapping = memory.enter("copy", cell, start, length)
+        section_bytes = ref[start_off:start_off + length].nbytes
+        assert memory.bytes_allocated == memory.bytes_to_device == section_bytes
+        device = mapping.device_data
+        assert device.shape == ref[start_off:start_off + length].shape
+        for pos in _positions(device.shape):
+            idx = [start + pos[0]] + list(pos[1:])
+            assert device.get(idx) == ref[(start_off + pos[0],) + pos[1:]]
+            device.set(idx, -2.5 * (pos[0] + 1))
+            ref[(start_off + pos[0],) + pos[1:]] = -2.5 * (pos[0] + 1)
         memory.exit(mapping)
-        assert list(host.data) == list(range(n))
+        assert memory.bytes_to_host == section_bytes
+        assert memory.bytes_allocated == 0
+        for pos in _positions(shape):
+            assert host.get([lower + pos[0]] + list(pos[1:])) == ref[pos]
+        if shape[1:] != (0,):
+            with pytest.raises(AccRuntimeError, match=re.escape(
+                    f"section write [{start + 1}:{start + 1 + length}) "
+                    "outside array bounds")):
+                device.write_section(start + 1,
+                                     host.read_section(start, length))
 
 
 class TestAsyncQueues:

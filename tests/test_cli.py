@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestListCommands:
@@ -148,3 +155,28 @@ class TestTitanCommand:
                      "--degraded", "0.5", "--recheck", "1"]) == 0
         out = capsys.readouterr().out
         assert "quarantined after 1 recheck(s)" in out
+
+
+class TestNoNumpy:
+    def test_validate_and_lint_run_with_numpy_blocked(self, tmp_path):
+        """The runtime has no third-party dependency: with ``numpy``
+        unimportable, a validate campaign and a lint run both succeed."""
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.cli import main\n"
+            "codes = [\n"
+            "    main(['validate', '--language', 'c', '--features', 'parallel',\n"
+            "          '--iterations', '1', '--no-cross']),\n"
+            "    main(['lint', '--feature', 'parallel.num_gangs',\n"
+            "          '--language', 'c']),\n"
+            "]\n"
+            "print('exit codes', codes)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "exit codes [0, 0]" in proc.stdout
+        assert "1 template(s) checked" in proc.stdout

@@ -496,6 +496,46 @@ int main(){
         with pytest.raises(AccRuntimeError):
             run(src)
 
+    @pytest.mark.parametrize("backend", ["tree", "closures"])
+    def test_deviceptr_char_buffer_sized_by_sizeof_char(self, backend):
+        """A device view of acc_malloc bytes uses the same C sizeof as the
+        frontend: 16*sizeof(char) bytes hold 16 chars, not 4."""
+        src = """
+int main(){
+  char *d = (char*)acc_malloc(16*sizeof(char));
+  int r = 0;
+  #pragma acc parallel deviceptr(d) num_gangs(1)
+  {
+    d[15] = 7;
+    d[0] = 3;
+  }
+  #pragma acc parallel deviceptr(d) num_gangs(1) copyout(r)
+  {
+    r = d[15] + d[0];
+  }
+  acc_free(d);
+  return r;
+}
+"""
+        assert CC.compile(src, "c").run(backend=backend).value == 10
+
+    @pytest.mark.parametrize("ctype", ["int", "long", "float", "double", "char"])
+    def test_deviceptr_last_element_of_malloc(self, ctype):
+        src = f"""
+int main(){{
+  {ctype} *d = ({ctype}*)acc_malloc(8*sizeof({ctype}));
+  int r = 0;
+  #pragma acc parallel deviceptr(d) num_gangs(1) copyout(r)
+  {{
+    d[7] = 5;
+    r = d[7];
+  }}
+  acc_free(d);
+  return r;
+}}
+"""
+        assert run(src).value == 5
+
 
 class TestAsyncExecution:
     def test_async_defers_until_wait(self):
