@@ -1,26 +1,47 @@
 """Hot-path benchmarks: the closure-compilation backend vs the tree walker.
 
-The recorded baseline lives in ``benchmarks/BENCH_hotpath.json`` (written
-by ``python -m benchmarks.record``); CI re-records on every PR and gates on
-regression.  The in-test floor here is deliberately conservative (2x, vs
-the 3x the recorded baseline must show) so a loaded CI box never flakes
-this suite — the real bar is enforced by ``benchmarks.record --compare``
-and by the committed-baseline assertions below.
+The floor is a ratio measured on one box: both backends run the same
+microprogram here, best of three each, so the closures-over-tree speedup
+holds on any host, where an absolute steps/sec figure would not.  The
+closures backend must beat the tree walker by at least 3x with an
+identical ``ExecutionResult``.  End-to-end regressions are gated by the
+repository benchmark (``perfbench/``), run on the parent and the change
+side by side by ``benchmarks/perf_gate.py``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import pytest
 
 from benchmarks.conftest import print_series
-from benchmarks.record import MICRO_SOURCE, SCHEMA
 from repro.compiler import Compiler, ExecutionLimits
 
-_BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_hotpath.json")
+#: host-compute-heavy microprogram: tight loops, branches, calls, a while
+#: spine — the statement mix that dominates interpreter step counts
+MICRO_SOURCE = """
+int work(int n) {
+  int acc = 0;
+  for (int i = 0; i < n; i = i + 1) {
+    int t = i * 3 + 1;
+    if (t % 2 == 0) { acc = acc + t; } else { acc = acc - i; }
+    while (t > 50) { t = t - 17; }
+    acc = acc + t;
+  }
+  return acc;
+}
+int main() {
+  int total = 0;
+  for (int r = 0; r < 40; r = r + 1) {
+    total = total + work(400);
+  }
+  return total % 97;
+}
+"""
+
+#: required closures-over-tree speedup on the microprogram
+MIN_SPEEDUP = 3.0
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +71,7 @@ def test_bench_interpreter_closures(benchmark, micro):
 
 
 def test_closures_speedup_floor(micro):
-    """Closures must beat the tree walker by >=2x on the same box, with an
+    """Closures must beat the tree walker by >=3x on the same box, with an
     identical ExecutionResult (the equivalence half of the contract)."""
     def best_of(backend, reps=3):
         best, result = None, None
@@ -70,30 +91,7 @@ def test_closures_speedup_floor(micro):
         f"closures {closures_result.steps / closures_s:>12,.0f} steps/s",
         f"speedup  {speedup:>12.2f}x",
     ])
-    assert speedup >= 2.0, (
+    assert speedup >= MIN_SPEEDUP, (
         f"closures backend only {speedup:.2f}x over the tree walker"
     )
 
-
-class TestRecordedBaseline:
-    """The committed baseline is itself part of the acceptance surface."""
-
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        with open(_BASELINE_PATH, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-
-    def test_schema_and_fields(self, baseline):
-        assert baseline["schema"] == SCHEMA
-        micro = baseline["microbench"]
-        assert micro["tree_steps_per_sec"] > 0
-        assert micro["closures_steps_per_sec"] > 0
-        for backend in ("tree", "closures"):
-            assert baseline["engine"][backend]["iterations_per_sec"] > 0
-        assert baseline["generation"]["templates_per_sec"] > 0
-        assert baseline["fig8a"]["wall_s"] > 0
-
-    def test_recorded_speedup_meets_the_bar(self, baseline):
-        # the PR's acceptance criterion: >=3x interpreter steps/sec,
-        # recorded on the machine that produced the committed baseline
-        assert baseline["microbench"]["speedup"] >= 3.0

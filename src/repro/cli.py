@@ -22,9 +22,7 @@ Section III (compiler configuration, feature selection, result formats):
 * ``repro obs tail`` — follow or summarize the live-telemetry NDJSON
   stream written by ``validate/titan --live-stream FILE`` (which also
   accept ``--status`` for a TTY progress line and ``--prom FILE`` for a
-  Prometheus textfile), or the events of a trace file;
-* ``repro obs perf`` — render the committed bench history
-  (``benchmarks/BENCH_history.jsonl``) as a perf-trajectory HTML page.
+  Prometheus textfile), or the events of a trace file.
 
 Invoke as ``python -m repro <command> ...``.
 """
@@ -688,44 +686,8 @@ def _obs_follow(args) -> int:
         return 0
 
 
-def _obs_perf(args) -> int:
-    import json as _json
-
-    from repro.obs import render_perf_html
-
-    entries: list = []
-    for path in args.inputs:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as err:
-            print(f"cannot read {path!r}: {err}", file=sys.stderr)
-            return 1
-        try:
-            if path.endswith(".jsonl"):
-                entries.extend(_json.loads(line)
-                               for line in text.splitlines() if line.strip())
-            else:
-                entries.append(_json.loads(text))
-        except ValueError as err:
-            print(f"cannot parse {path!r}: {err}", file=sys.stderr)
-            return 1
-    if not entries:
-        print("no bench history entries found", file=sys.stderr)
-        return 1
-    page = render_perf_html(entries)
-    if args.output:
-        atomic_write_text(args.output, page)
-        print(f"wrote {args.output} ({len(entries)} run(s))")
-    else:
-        print(page)
-    return 0
-
-
 def cmd_obs(args) -> int:
-    if args.obs_command == "tail":
-        return _obs_tail(args)
-    return _obs_perf(args)
+    return _obs_tail(args)
 
 
 def cmd_journal(args) -> int:
@@ -1238,7 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("file")
     ph.add_argument("--output", help="write the page to a file")
 
-    p = sub.add_parser("obs", help="live-telemetry and perf-history tools")
+    p = sub.add_parser("obs", help="live-telemetry tools")
     osub = p.add_subparsers(dest="obs_command", required=True)
     ot = osub.add_parser("tail",
                          help="print or summarize a live NDJSON stream or "
@@ -1258,14 +1220,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="SECONDS", dest="idle_timeout_s",
                     help="--follow: exit 1 after this long without new "
                          "stream data (default: wait forever)")
-    op = osub.add_parser("perf",
-                         help="render bench history (BENCH_history.jsonl "
-                              "and/or BENCH_*.json) as an HTML "
-                              "perf-trajectory page")
-    op.add_argument("inputs", nargs="+", metavar="FILE",
-                    help=".jsonl history files (one run per line) or "
-                         "single-run .json baselines, oldest first")
-    op.add_argument("--output", help="write the page to a file")
 
     return parser
 

@@ -1,13 +1,17 @@
 """Compile cache: memoise ``Compiler.compile`` for one behaviour.
 
 Repeated iterations of one phase share a :class:`CompiledProgram`
-already; a :class:`CompileCache` keyed on ``(source, language, name,
-behavior)`` makes every later compile of the same source *by the same
-implementation* a dictionary lookup, with the lowering attached — runs
-that reuse one runner (benchmark rounds, a campaign's repeated phases)
-hit it.  ``CompilerBehavior`` is a frozen (hashable) dataclass, so keying
-on the whole behaviour — rather than just its label — guarantees two
-implementations can never alias each other's cache entries.
+already, without this cache; a :class:`CompileCache` keyed on ``(source,
+language, name, behavior)`` makes every later compile of the same source
+*by the same implementation and runner* a dictionary lookup, with the
+lowering attached.  Only a reused runner hits it: tests, a retried unit
+compiling its phases again in the same process, and a re-run on one
+runner (``test_bench_compile_cache_warm_rerun``).  One campaign compiles
+each phase's source once, so a traced ``repro validate`` reports
+``compiler.cache.hit_ratio`` 0.0.  ``CompilerBehavior`` is a frozen
+(hashable) dataclass, so keying on the whole behaviour — rather than just
+its label — guarantees two implementations can never alias each other's
+cache entries.
 
 It does not cover a Fig. 8 sweep: each sweep cell builds a fresh runner
 for a new behaviour, so its lookups all miss.  What those cells share is
@@ -16,8 +20,8 @@ the parse, and :data:`repro.compiler.pipeline.PARSE_MEMO` (keyed on
 source once for every behaviour and runner in the process.
 
 Compile *errors* are cached too (negative caching): a vendor version that
-rejects a directive rejects it identically on every attempt, and the
-error-heavy beta sweeps benefit the most.
+rejects a directive rejects it identically on every attempt by the same
+runner.
 
 The cache is thread-safe and single-flight: concurrent lookups of one
 key share one compile, so a key is compiled (and counted as a miss) once

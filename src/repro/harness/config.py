@@ -47,7 +47,8 @@ class HarnessConfig:
     policy: str = "serial"
     #: pool size for the 'process' policy (ignored by 'serial')
     workers: int = 1
-    #: memoise compiles across phases/runs (see repro.compiler.cache)
+    #: memoise compiles for a reused runner: only tests, retried units and
+    #: re-runs on one runner hit it (see repro.compiler.cache)
     compile_cache: bool = True
     #: bounded retry budget per work unit: a template whose run dies on a
     #: harness fault (injected or real) is re-run up to this many times

@@ -16,8 +16,8 @@ each observable fact is emitted by one call, :meth:`Tracer.event`.
   trace files and live streams alike;
 * :mod:`~repro.obs.summary` — the one summary behind ``repro trace
   summarize`` and ``repro obs tail --summarize``;
-* :mod:`~repro.obs.dashboard` — standalone HTML trace/metrics and
-  perf-trajectory dashboards;
+* :mod:`~repro.obs.dashboard` — the standalone HTML trace/metrics
+  dashboard;
 * :mod:`~repro.obs.live` — live campaign telemetry: the unit-event tally,
   progress snapshots and the NDJSON stream / TTY status / Prometheus
   textfile sinks.
@@ -54,7 +54,7 @@ from repro.obs.sink import (
     write_trace,
 )
 from repro.obs.summary import TraceSummary, render_summary_text, summarize_trace
-from repro.obs.dashboard import render_perf_html, render_trace_html
+from repro.obs.dashboard import render_trace_html
 from repro.obs.live import (
     LiveTelemetry,
     NDJSONStreamSink,
@@ -74,7 +74,7 @@ __all__ = [
     "TraceData", "TraceFormatError", "decode_line", "parse_trace",
     "read_trace", "trace_to_jsonl", "write_trace",
     "TraceSummary", "render_summary_text", "summarize_trace",
-    "render_trace_html", "render_perf_html",
+    "render_trace_html",
     "LiveTelemetry", "NDJSONStreamSink", "PrometheusSink", "ProgressTally",
     "SnapshotReporter", "StatusLineSink", "lint_prometheus",
     "render_prometheus", "render_status_line",

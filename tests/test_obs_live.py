@@ -18,9 +18,8 @@ Covers the PR's acceptance criteria:
 * retries reach the live stream under every policy;
 * Prometheus rendering passes its own linter, and the linter catches
   broken exposition text;
-* the CLI surface: ``validate --live-stream/--status/--prom``,
-  ``repro obs tail``/``repro obs perf``, and ``benchmarks.record``'s
-  perf-history appending.
+* the CLI surface: ``validate --live-stream/--status/--prom`` and
+  ``repro obs tail``.
 """
 
 from __future__ import annotations
@@ -677,46 +676,6 @@ def test_cli_obs_tail_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_cli_obs_perf_renders_history(tmp_path, capsys):
-    entry = {
-        "schema": "bench-hotpath/1", "git_sha": "abc1234",
-        "recorded_at": "2026-08-08T00:00:00Z",
-        "python": "3.11.7", "machine": "x86_64",
-        "microbench": {"tree_steps_per_sec": 900000,
-                       "closures_steps_per_sec": 5000000,
-                       "speedup": 5.56, "steps": 1, "reps": 3},
-        "engine": {"tree": {"iterations_per_sec": 250.0},
-                   "closures": {"iterations_per_sec": 240.0}},
-        "generation": {"templates_per_sec": 20000.0},
-        "fig8a": {"wall_s": 8.0},
-    }
-    second = dict(entry, git_sha="def5678",
-                  microbench=dict(entry["microbench"],
-                                  closures_steps_per_sec=5400000))
-    history = tmp_path / "h.jsonl"
-    history.write_text(json.dumps(entry) + "\n" + json.dumps(second) + "\n")
-    out = tmp_path / "perf.html"
-    assert main(["obs", "perf", str(history), "--output", str(out)]) == 0
-    page = out.read_text()
-    assert "abc1234" in page and "def5678" in page
-    assert "5,400,000" in page  # hero number = latest run
-    assert "<svg" in page and "<table>" in page
-    # escaping: poisoned sha must not land raw in the page
-    entry["git_sha"] = "<script>alert(1)</script>"
-    history.write_text(json.dumps(entry) + "\n")
-    capsys.readouterr()
-    assert main(["obs", "perf", str(history)]) == 0
-    page = capsys.readouterr().out
-    assert "<script>alert(1)" not in page
-
-
-def test_cli_obs_perf_empty_input(tmp_path, capsys):
-    empty = tmp_path / "e.jsonl"
-    empty.write_text("")
-    assert main(["obs", "perf", str(empty)]) == 1
-    assert "no bench history" in capsys.readouterr().err
-
-
 def test_cli_titan_live_stream(tmp_path, capsys):
     stream = tmp_path / "titan.ndjson"
     rc = main(["titan", "--nodes", "4", "--sample", "2",
@@ -728,51 +687,6 @@ def test_cli_titan_live_stream(tmp_path, capsys):
     assert tally.units_done >= 4  # sample*stacks + any triage rechecks
     assert parsed.final_snapshot is not None
     assert parsed.final_snapshot["units_done"] == tally.units_done
-
-
-# ---------------------------------------------------------------------------
-# bench history (satellite)
-# ---------------------------------------------------------------------------
-
-
-def test_record_appends_history_with_sha_and_timestamp(tmp_path):
-    from benchmarks.record import append_history
-
-    data = {"schema": "bench-hotpath/1", "recorded_at": "ambient",
-            "microbench": {"closures_steps_per_sec": 1}}
-    path = tmp_path / "h.jsonl"
-    append_history(data, str(path), "cafe123", "2026-08-08T12:00:00Z")
-    append_history(data, str(path), "beef456")
-    lines = [json.loads(line) for line in
-             path.read_text().splitlines()]
-    assert lines[0]["git_sha"] == "cafe123"
-    assert lines[0]["recorded_at"] == "2026-08-08T12:00:00Z"
-    assert lines[1]["git_sha"] == "beef456"
-    assert lines[1]["recorded_at"] == "ambient"  # no override: keep as-is
-    # the input dict is not mutated
-    assert "git_sha" not in data
-
-
-def test_record_history_requires_git_sha(capsys):
-    from benchmarks.record import main as record_main
-
-    with pytest.raises(SystemExit) as exc:
-        record_main(["--history", "h.jsonl"])
-    assert exc.value.code == 2
-    assert "--git-sha" in capsys.readouterr().err
-
-
-def test_committed_history_parses_and_renders():
-    from repro.obs import render_perf_html
-
-    with open("benchmarks/BENCH_history.jsonl", encoding="utf-8") as fh:
-        entries = [json.loads(line) for line in fh if line.strip()]
-    assert entries, "BENCH_history.jsonl must have at least the seed entry"
-    for entry in entries:
-        assert entry["schema"] == "bench-hotpath/1"
-        assert entry["git_sha"]
-    page = render_perf_html(entries)
-    assert entries[-1]["git_sha"] in page
 
 
 def test_cli_obs_tail_follow_idle_timeout_exits_1(tmp_path, capsys):
