@@ -35,7 +35,6 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import table1_counts, vendor_pass_rates
-from repro.compiler import BACKENDS as INTERPRETER_BACKENDS
 from repro.compiler import Compiler, CompilerBehavior
 from repro.compiler.vendors import VENDORS, vendor_version
 from repro.faults import FaultPlan, InjectedJournalTear
@@ -209,7 +208,6 @@ def _config(args) -> HarnessConfig:
         template_timeout_s=args.timeout_s,
         fault_plan=args.inject_faults,
         lint=getattr(args, "lint", False),
-        backend=getattr(args, "backend", "tree"),
         live_stream=getattr(args, "live_stream", None),
         status=getattr(args, "status", False),
         prom=getattr(args, "prom", None),
@@ -724,14 +722,14 @@ def cmd_journal(args) -> int:
 def _journal_fsck(args) -> int:
     """Crash-consistency check: exit 0 when the journal is clean or only
     torn at the tail (a resume salvages it), 1 on corruption."""
-    from repro.journal import fsck_journal, render_fsck
+    from repro.journal import render_fsck, scan_journal_file
 
-    report = fsck_journal(args.file)
-    print(render_fsck(report))
+    scan = scan_journal_file(args.file)
+    print(render_fsck(scan))
     if args.units:
-        for unit in sorted(report.salvageable_units()):
+        for unit in sorted(scan.salvageable_units()):
             print(f"  {unit}")
-    return 0 if report.resumable else 1
+    return 0 if scan.resumable else 1
 
 
 def cmd_serve(args) -> int:
@@ -1006,11 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable the per-behaviour compile cache (the "
                         "process-wide parse memo always applies; neither "
                         "changes results)")
-    p.add_argument("--backend", default="tree",
-                   choices=list(INTERPRETER_BACKENDS),
-                   help="interpreter backend: the reference tree walker or "
-                        "the compiled-closures fast path (identical reports "
-                        "either way)")
     p.add_argument("--lint", action="store_true",
                    help="static-check each template before compiling; "
                         "templates with error diagnostics are marked "

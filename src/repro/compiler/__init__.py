@@ -17,7 +17,6 @@ from repro.compiler.errors import (
     UnsupportedFeatureError,
 )
 from repro.compiler.interp import (
-    BACKENDS,
     ExecutionLimits,
     ExecutionResult,
     Interpreter,
@@ -30,7 +29,7 @@ __all__ = [
     "CacheOutcome", "CacheStats", "CompileCache",
     "LoweredProgram", "lower_program",
     "CompileError", "CompilerCrashError", "UnsupportedFeatureError",
-    "BACKENDS", "ExecutionLimits", "ExecutionResult", "Interpreter",
+    "ExecutionLimits", "ExecutionResult", "Interpreter",
     "InterpreterReuseError",
     "CompiledProgram", "Compiler", "ProgramRunner",
 ]

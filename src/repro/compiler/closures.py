@@ -1,4 +1,4 @@
-"""Closure-compilation backend for the accsim interpreter.
+"""Closure compilation: how every campaign executes a program.
 
 The reference interpreter (:mod:`repro.compiler.interp`) walks the AST for
 every statement of every iteration: each step pays a ``type()`` dispatch,
@@ -12,7 +12,8 @@ callable ``f(I, S)`` where ``I`` is the per-run :class:`Interpreter`
 (mutable state: steps, limits, globals, output, machine) and ``S`` is the
 current scope.  Lowering is a pure function of the AST — closures never
 capture an interpreter — so one :class:`LoweredProgram` is shared across
-all M iterations, across threads, and across compile-cache hits.
+a phase's M iterations (:class:`~repro.compiler.pipeline.ProgramRunner`
+lowers once per phase and drops the lowering with the runner).
 
 Two lowering tiers:
 
@@ -42,7 +43,8 @@ would have given it.
 The hard constraint is observable equivalence with the tree walker: step
 accounting, error strings (they appear in suite reports) and evaluation
 order are mirrored exactly; ``tests/test_closures.py`` enforces identical
-:class:`ExecutionResult`s over the full shipped corpus.
+:class:`ExecutionResult`s over the full shipped corpus, with the tree
+walker (an :class:`Interpreter` built without a lowering) as the oracle.
 """
 
 from __future__ import annotations

@@ -75,11 +75,6 @@ from repro.spec.devices import (
 # ---------------------------------------------------------------------------
 
 
-#: interpreter execution backends: the reference tree walker and the
-#: closure-compilation backend (see repro.compiler.closures)
-BACKENDS = ("tree", "closures")
-
-
 class InterpreterReuseError(RuntimeError):
     """``run()`` called again on an interpreter that cannot be reset.
 
@@ -171,27 +166,19 @@ class Interpreter:
         machine: Optional[Machine] = None,
         env_vars: Optional[Dict[str, str]] = None,
         rng_seed: int = 12345,
-        backend: str = "tree",
         lowered=None,
     ):
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown interpreter backend {backend!r}; "
-                f"expected one of {', '.join(BACKENDS)}"
-            )
         self.program = program
         self.behavior = behavior
-        self.backend = backend
-        if backend == "closures":
-            from repro.compiler.closures import invoke_function, lower_program
+        #: the program's closure lowering (repro.compiler.closures), which
+        #: every campaign runs; None runs the tree walker, the reference
+        #: the differential tests compare it against
+        self._lowered = lowered
+        self._invoke = None
+        if lowered is not None:
+            from repro.compiler.closures import invoke_function
 
-            if lowered is None:
-                lowered = lower_program(program)
-            self._lowered = lowered
             self._invoke = invoke_function
-        else:
-            self._lowered = None
-            self._invoke = None
         self._env_vars = dict(env_vars) if env_vars else None
         self._rng_seed = rng_seed
         self._owns_machine = machine is None
@@ -668,10 +655,10 @@ def _trunc_div(a: int, b: int) -> int:
 
 
 def binary_value(op: str, left, right, node):
-    """C/Fortran binary-operator semantics shared by both backends.
+    """C/Fortran binary-operator semantics shared with the closure lowering.
 
     ``node`` supplies the source location for error diagnostics; the error
-    strings are part of suite reports and must match across backends.
+    strings are part of suite reports.
     """
     if op == "+":
         return left + right

@@ -30,6 +30,7 @@ from typing import (
 )
 
 from repro.compiler.behavior import CompilerBehavior, REFERENCE_BEHAVIOR
+from repro.compiler.closures import lower_program
 from repro.compiler.errors import CompileError, UnsupportedFeatureError
 from repro.compiler.interp import ExecutionLimits, ExecutionResult, Interpreter, builtin_names
 from repro.frontend.errors import FrontendError
@@ -78,66 +79,15 @@ class CompiledProgram:
     behavior: CompilerBehavior
     source: str = ""
     warnings: List[str] = field(default_factory=list)
-    #: lazily lowered closure program (repro.compiler.closures), attached to
-    #: this instance so compile-cache hits reuse the lowering as well as the
-    #: parse — never pickled (closures aren't picklable) and never compared
-    _lowered: Optional[object] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def lowered(self, tracer=None, name: Optional[str] = None):
-        """The closure-lowered form, computed once per compiled program.
-
-        Benign data race when threads share a program (the compile cache
-        is thread-safe): two threads may lower concurrently and one result
-        wins; lowering is pure, so both are interchangeable.
-
-        ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives
-        ``lower.cache_hit``/``lower.cache_miss`` events,
-        mirroring the compile cache's ``compile.cache_hit/miss``: a hit
-        means a previous phase/iteration (or a compile-cache hit carrying
-        the lowering along) already paid the lowering cost.
-        """
-        observe = tracer is not None and tracer.enabled
-        lowered = self._lowered
-        if lowered is None:
-            if observe:
-                tracer.event("lower.cache_miss", template=name or "?")
-            from repro.compiler.closures import lower_program
-
-            lowered = lower_program(self.program)
-            self._lowered = lowered
-        elif observe:
-            tracer.event("lower.cache_hit", template=name or "?")
-        return lowered
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_lowered"] = None  # closures don't pickle; re-lower on use
-        return state
-
-    def runner(self, backend: str = "tree", tracer=None,
-               name: Optional[str] = None) -> "ProgramRunner":
-        """A per-phase batched executor (see :class:`ProgramRunner`)."""
-        return ProgramRunner(self, backend=backend, tracer=tracer, name=name)
 
     def run(
         self,
         env_vars: Optional[Dict[str, str]] = None,
         limits: Optional[ExecutionLimits] = None,
         rng_seed: int = 12345,
-        backend: str = "tree",
     ) -> ExecutionResult:
         """Execute on a fresh simulated machine (one harness iteration)."""
-        interp = Interpreter(
-            self.program,
-            behavior=self.behavior,
-            env_vars=env_vars,
-            rng_seed=rng_seed,
-            backend=backend,
-            lowered=self.lowered() if backend == "closures" else None,
-        )
-        return interp.run(limits=limits)
+        return ProgramRunner(self).run(env_vars, limits, rng_seed)
 
 
 class ProgramRunner:
@@ -145,19 +95,19 @@ class ProgramRunner:
 
     The harness runs every phase M times.  Everything that is a pure
     function of (program, behavior) is built here once and shared across
-    those iterations: the lowered closure program (``backend="closures"``)
-    and the machine's :class:`ExecProfile` (read-only at runtime).  Every
-    iteration still gets a *fresh* :class:`Machine` and interpreter, so
-    device counters, globals and RNG state match a cold run exactly —
-    reports stay byte-identical with the unbatched path.
+    those iterations: the closure lowering of the program
+    (:func:`repro.compiler.closures.lower_program`) and the machine's
+    :class:`ExecProfile` (read-only at runtime).  The lowering lives as
+    long as the runner, so a campaign holds one phase's lowering at a
+    time.  Every iteration still gets a *fresh* :class:`Machine` and
+    interpreter, so device counters, globals and RNG state match a cold
+    run exactly.
     """
 
-    def __init__(self, compiled: CompiledProgram, backend: str = "tree",
-                 tracer=None, name: Optional[str] = None):
+    def __init__(self, compiled: CompiledProgram):
         from repro.accsim.device import ExecProfile
 
         self.compiled = compiled
-        self.backend = backend
         behavior = compiled.behavior
         self._profile = ExecProfile(
             default_num_gangs=behavior.default_num_gangs,
@@ -166,15 +116,7 @@ class ProgramRunner:
             worker_ignored=behavior.worker_ignored,
             mapping=behavior.mapping_description,
         )
-        #: whether the lowering was already attached to the compiled
-        #: program (None when the tree backend never looks); instrumentation
-        #: only — mirrors PhaseResult.cache_hit for the compile cache
-        self.lower_hit: Optional[bool] = None
-        if backend == "closures":
-            self.lower_hit = compiled._lowered is not None
-            self._lowered = compiled.lowered(tracer=tracer, name=name)
-        else:
-            self._lowered = None
+        self._lowered = lower_program(compiled.program)
 
     def run(
         self,
@@ -196,7 +138,6 @@ class ProgramRunner:
             machine=machine,
             env_vars=env_vars,
             rng_seed=rng_seed,
-            backend=self.backend,
             lowered=self._lowered,
         )
         return interp.run(limits=limits)

@@ -6,11 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.compiler.interp import BACKENDS as INTERPRETER_BACKENDS
 from repro.faults import FaultPlan
 
 #: execution policies understood by :mod:`repro.harness.engine`
 EXECUTION_POLICIES = ("serial", "process")
+
+#: config keys of earlier versions, which old server journals and
+#: clients still carry: :meth:`HarnessConfig.from_dict` drops them
+_RETIRED_KEYS = frozenset({"backend"})
 
 
 @dataclass
@@ -67,10 +70,6 @@ class HarnessConfig:
     #: template first, and mark units with error diagnostics STATIC_ERROR
     #: (a corpus defect) instead of compiling/running them
     lint: bool = False
-    #: interpreter backend: 'tree' (the reference walker) or 'closures'
-    #: (repro.compiler.closures).  Purely an execution knob — both backends
-    #: produce byte-identical reports for the same configuration
-    backend: str = "tree"
     #: live telemetry (repro.obs.live): append a repro.obs/v2 NDJSON
     #: stream of unit events and campaign snapshots to this file.  Pure
     #: observation — reports stay byte-identical with it on or off
@@ -108,11 +107,6 @@ class HarnessConfig:
                 "template_timeout_s must be > 0 when set "
                 f"(got {self.template_timeout_s})"
             )
-        if self.backend not in INTERPRETER_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {', '.join(INTERPRETER_BACKENDS)}"
-            )
         for knob in ("live_stream", "prom"):
             value = getattr(self, knob)
             if value is not None and not str(value).strip():
@@ -149,18 +143,19 @@ class HarnessConfig:
         """Rebuild a config from :meth:`to_dict` output (or a hand-written
         submission dict; ``fault_plan`` also accepts a CLI spec string
         like ``'worker=0.5,seed=7'``).  Unknown keys are rejected — a
-        typo'd submission must fail loudly, not run a default campaign.
+        typo'd submission must fail loudly, not run a default campaign —
+        except the retired keys of earlier versions, which are dropped.
         """
         from dataclasses import fields as dc_fields
 
+        kwargs = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         known = {f.name for f in dc_fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(kwargs) - known)
         if unknown:
             raise ValueError(
                 f"unknown config key(s): {', '.join(unknown)}; "
                 f"expected a subset of: {', '.join(sorted(known))}"
             )
-        kwargs = dict(data)
         plan = kwargs.get("fault_plan")
         if isinstance(plan, str):
             kwargs["fault_plan"] = FaultPlan.parse(plan)

@@ -32,6 +32,7 @@ from repro.compiler import (
     CompilerBehavior,
     CompilerCrashError,
     ExecutionLimits,
+    ProgramRunner,
 )
 from repro.compiler.cache import CompileCache
 from repro.faults import FaultInjector, FaultyCompiler, NULL_INJECTOR
@@ -110,9 +111,6 @@ class PhaseResult:
     compile_s: float = 0.0
     run_s: float = 0.0
     cache_hit: bool = False
-    #: lowering-cache outcome for the closures backend (None under the tree
-    #: backend, which never lowers) — instrumentation like cache_hit
-    lower_hit: Optional[bool] = None
 
     @property
     def incorrect_runs(self) -> int:
@@ -517,7 +515,7 @@ class ValidationRunner:
             tracer.event("campaign.extend", units=len(templates))
         else:
             meta = dict(compiler=self.behavior.label, policy=config.policy,
-                        workers=config.workers, backend=config.backend)
+                        workers=config.workers)
             if live is not None:
                 live.begin(**meta)
             tracer.event("campaign.start", total_units=len(templates),
@@ -525,8 +523,7 @@ class ValidationRunner:
         # replayed units count toward progress immediately, marked so
         for i in sorted(replayed):
             tracer.event("unit.finished", **unit_fields(
-                i, keys[i], replayed[i], backend=config.backend,
-                replayed=True))
+                i, keys[i], replayed[i], replayed=True))
         pending_indices = [i for i in range(len(templates))
                            if i not in replayed]
 
@@ -534,8 +531,7 @@ class ValidationRunner:
             if on_complete is not None:
                 on_complete(index, template, result)
             i = pending_indices[index]
-            tracer.event("unit.finished", **unit_fields(
-                i, keys[i], result, backend=config.backend))
+            tracer.event("unit.finished", **unit_fields(i, keys[i], result))
 
         return record_complete
 
@@ -615,6 +611,12 @@ class ValidationRunner:
                         )
                     except CompileError as err:
                         phase.compile_error = str(err)
+                if compiled is not None:
+                    # lowering is part of compiling: the runner lowers the
+                    # program once and shares it (and the machine profile)
+                    # across the phase's M iterations, each on a fresh
+                    # machine
+                    runner = ProgramRunner(compiled)
             phase.compile_s = compile_span.duration
             if tracer.enabled:
                 compile_span.set(cache_hit=phase.cache_hit,
@@ -623,15 +625,6 @@ class ValidationRunner:
                 return phase
             limits = ExecutionLimits(max_steps=self.config.max_steps)
             env_vars = template.environment or None
-            # batch per-iteration setup: the runner shares the lowered
-            # program and machine profile across the phase's M iterations
-            # (each iteration still executes on a fresh machine)
-            runner = compiled.runner(
-                backend=self.config.backend,
-                tracer=tracer if tracer.enabled else None,
-                name=template.name,
-            )
-            phase.lower_hit = runner.lower_hit
             with tracer.span("execute", key=pkey) as execute_span:
                 for k, seed in enumerate(self.config.iteration_seeds()):
                     self.faults.iteration_site(f"{pkey}:{k}")

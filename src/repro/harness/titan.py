@@ -317,7 +317,7 @@ class TitanHarness:
         self.tracer.event(
             "unit.finished",
             unit=unit, index=self._units,
-            replayed=replayed, backend=str(report.config.backend),
+            replayed=replayed,
             passed=not check.flagged, failure_kind=None,
             elapsed_s=report.elapsed_s,
             iterations=sum(unit_fields(0, "", r)["iterations"]

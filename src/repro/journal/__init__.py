@@ -24,18 +24,13 @@ from repro.journal.wal import (
     JournalCorruptError,
     JournalError,
     JournalMismatchError,
+    JournalScan,
     JournalWriter,
-    LoadedJournal,
     read_journal,
     record_line,
-)
-from repro.journal.fsck import (
-    FileFsck,
-    FsckReport,
-    fsck_journal,
-    render_fsck,
     scan_journal_file,
 )
+from repro.journal.fsck import render_fsck
 from repro.journal.codec import (
     canonicalize,
     config_fingerprint,
@@ -52,9 +47,8 @@ from repro.journal.codec import (
 __all__ = [
     "JOURNAL_FORMAT",
     "JournalCorruptError", "JournalError", "JournalMismatchError",
-    "JournalWriter", "LoadedJournal", "read_journal", "record_line",
-    "FileFsck", "FsckReport", "fsck_journal", "render_fsck",
-    "scan_journal_file",
+    "JournalScan", "JournalWriter", "read_journal", "record_line",
+    "scan_journal_file", "render_fsck",
     "canonicalize", "config_fingerprint",
     "decode_check", "decode_result", "encode_check", "encode_result",
     "template_map", "titan_campaign_key", "unit_keys",

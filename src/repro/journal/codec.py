@@ -11,9 +11,9 @@ Campaign keys are canonical JSON-safe dicts binding a journal to one
 campaign: the suite selection, the compiler behaviour under test, the
 result-affecting harness config, the seeds, and the code version.  Pure
 execution knobs (``policy``, ``workers``, ``compile_cache``,
-``retry_backoff_s``, ``backend``) are deliberately excluded — the engine
-guarantees they never change results, so a campaign may be resumed under
-a different policy, pool size or interpreter backend.
+``retry_backoff_s``) are deliberately excluded — the engine guarantees
+they never change results, so a campaign may be resumed under a different
+policy or pool size.
 """
 
 from __future__ import annotations
@@ -34,12 +34,10 @@ from repro.harness.runner import (
 from repro.journal.wal import JOURNAL_FORMAT, JournalMismatchError
 
 #: config fields that can never change results (engine determinism
-#: guarantee — ``backend`` is covered by the cross-backend equivalence
-#: gate in tests; the live-telemetry knobs only *observe* a run) and
+#: guarantee; the live-telemetry knobs only *observe* a run) and
 #: therefore stay out of the campaign key
 _EXECUTION_ONLY_CONFIG = {"policy", "workers", "compile_cache",
-                          "retry_backoff_s", "backend",
-                          "live_stream", "status", "prom"}
+                          "retry_backoff_s", "live_stream", "status", "prom"}
 
 
 def canonicalize(obj):
@@ -157,7 +155,6 @@ def _encode_phase(phase: PhaseResult) -> dict:
         "compile_s": phase.compile_s,
         "run_s": phase.run_s,
         "cache_hit": phase.cache_hit,
-        "lower_hit": phase.lower_hit,
         "iterations": [_encode_iteration(it) for it in phase.iterations],
     }
 
@@ -172,8 +169,6 @@ def _decode_phase(data: dict) -> PhaseResult:
         compile_s=float(data.get("compile_s", 0.0)),
         run_s=float(data.get("run_s", 0.0)),
         cache_hit=bool(data.get("cache_hit", False)),
-        lower_hit=(bool(data["lower_hit"])
-                   if data.get("lower_hit") is not None else None),
         iterations=[_decode_iteration(it)
                     for it in data.get("iterations", [])],
     )

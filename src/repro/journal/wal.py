@@ -85,11 +85,15 @@ def _verify_line(chunk: bytes) -> Optional[dict]:
 
 
 @dataclass
-class LoadedJournal:
-    """The intact prefix of a journal file."""
+class JournalScan:
+    """One scan of a journal file: its status, the intact prefix, and the
+    damage past it (``repro journal fsck`` renders this; :func:`read_journal`
+    refuses it unless a resume would accept it)."""
 
     path: str
-    campaign: dict
+    #: 'ok' | 'torn' | 'corrupt' | 'missing'
+    status: str = "ok"
+    campaign: dict = field(default_factory=dict)
     #: unit key -> payload (last record wins, in case a crash re-ran a unit)
     records: Dict[str, dict] = field(default_factory=dict)
     #: resume generations recorded so far (0 = the original run)
@@ -97,21 +101,57 @@ class LoadedJournal:
     resumes: int = 0
     #: byte length of the intact prefix (the file is valid up to here)
     valid_bytes: int = 0
-    #: trailing bytes dropped by the torn-tail rule (0 = clean shutdown)
-    torn_bytes: int = 0
+    #: bytes past the intact prefix (torn tail or corruption)
+    bad_bytes: int = 0
+    #: 1-based line number of the first bad line (None when ok)
+    first_bad_line: Optional[int] = None
+    detail: str = ""
+
+    @property
+    def clean(self) -> bool:
+        """No corruption, no torn tail."""
+        return self.status == "ok"
+
+    @property
+    def resumable(self) -> bool:
+        """Would a resume accept this file (truncating a torn tail)?"""
+        return self.status in ("ok", "torn")
+
+    @property
+    def torn_bytes(self) -> int:
+        """Trailing bytes the torn-tail rule drops (0 = clean shutdown)."""
+        return self.bad_bytes if self.status == "torn" else 0
+
+    def salvageable_units(self) -> Dict[str, dict]:
+        """Unit records a resume would replay (none when it refuses)."""
+        return self.records if self.resumable else {}
 
 
-def read_journal(path: str) -> LoadedJournal:
-    """Load a journal, verifying checksums and applying the torn-tail rule.
+def scan_journal_file(path: str) -> JournalScan:
+    """Scan a journal, verifying checksums and applying the torn-tail rule.
 
-    Pure: never modifies the file (truncation happens on resume).
+    Never raises on damage and never modifies the file: the result's
+    ``status`` says what a resume would make of it.
     """
+    if not os.path.exists(path):
+        return JournalScan(path=path, status="missing",
+                           detail="file does not exist")
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as err:
-        raise JournalCorruptError(f"cannot read journal {path!r}: {err}") from err
-    loaded = LoadedJournal(path=path, campaign={})
+        return JournalScan(path=path, status="corrupt",
+                           detail=f"cannot read file: {err}")
+    scan = JournalScan(path=path)
+
+    def stop(status: str, detail: str) -> JournalScan:
+        scan.status = status
+        scan.detail = detail
+        scan.valid_bytes = pos
+        scan.bad_bytes = len(data) - pos
+        scan.first_bad_line = lineno
+        return scan
+
     pos = 0
     lineno = 0
     saw_header = False
@@ -123,43 +163,52 @@ def read_journal(path: str) -> LoadedJournal:
         record = _verify_line(chunk) if complete else None
         if record is None:
             # invalid bytes are a torn tail only at the very end of the file
-            if complete and newline + 1 < len(data):
-                raise JournalCorruptError(
-                    f"journal {path!r} line {lineno}: checksum or parse "
-                    "failure with intact records after it — this is "
-                    "corruption, not a torn tail; refusing to trust the file"
-                )
             if not saw_header:
-                raise JournalCorruptError(
-                    f"journal {path!r}: header record is missing or torn"
-                )
-            loaded.valid_bytes = pos
-            loaded.torn_bytes = len(data) - pos
-            return loaded
+                return stop("corrupt", "header record is missing or torn")
+            if complete and newline + 1 < len(data):
+                return stop("corrupt",
+                            f"line {lineno}: checksum or parse failure "
+                            "with intact records after it — corruption, "
+                            "not a torn tail; resume refuses this file")
+            return stop("torn",
+                        f"{len(data) - pos} trailing byte(s) fail to "
+                        "verify — a torn tail; resume truncates them")
         kind = record.get("type")
         if not saw_header:
             if kind != "header" or record.get("format") != JOURNAL_FORMAT:
-                raise JournalCorruptError(
-                    f"journal {path!r}: first record must be a "
-                    f"{JOURNAL_FORMAT} header (got {kind!r})"
-                )
-            loaded.campaign = record.get("campaign") or {}
+                return stop("corrupt", f"first record must be a "
+                                       f"{JOURNAL_FORMAT} header "
+                                       f"(got {kind!r})")
+            scan.campaign = record.get("campaign") or {}
             saw_header = True
         elif kind == "unit":
-            loaded.records[record["unit"]] = record.get("payload") or {}
+            scan.records[record["unit"]] = record.get("payload") or {}
         elif kind == "resume":
-            loaded.resumes += 1
-            loaded.generation = max(loaded.generation,
-                                    int(record.get("generation", 0)))
+            scan.resumes += 1
+            scan.generation = max(scan.generation,
+                                  int(record.get("generation", 0)))
         else:
-            raise JournalCorruptError(
-                f"journal {path!r} line {lineno}: unknown record type {kind!r}"
-            )
+            return stop("corrupt",
+                        f"line {lineno}: unknown record type {kind!r}")
         pos = newline + 1
     if not saw_header:
-        raise JournalCorruptError(f"journal {path!r} is empty (no header)")
-    loaded.valid_bytes = pos
-    return loaded
+        scan.status = "corrupt"
+        scan.detail = "file is empty (no header)"
+        return scan
+    scan.valid_bytes = pos
+    return scan
+
+
+def read_journal(path: str) -> JournalScan:
+    """Load a journal a resume may trust: :func:`scan_journal_file`, raising
+    :class:`JournalCorruptError` unless the file is clean or only torn at
+    the tail.  Pure: never modifies the file (truncation happens on
+    resume).
+    """
+    scan = scan_journal_file(path)
+    if not scan.resumable:
+        raise JournalCorruptError(f"journal {path!r}: {scan.detail}")
+    return scan
 
 
 def _diff_campaigns(expected: dict, found: dict) -> str:

@@ -10,8 +10,8 @@ in :data:`~repro.obs.trace.LIVE_KINDS` here as they happen.
   report's ``RunMetrics``, so all three reconcile by construction.
 * :class:`SnapshotReporter` — periodically folds the tally into a
   campaign snapshot: progress fraction, ETA, units/sec, per-phase
-  pass/fail/harness-error counts, compile- and lowering-cache hit rates,
-  retry/quarantine counts and per-backend timing histograms.
+  pass/fail/harness-error counts, the compile-cache hit rate,
+  retry/quarantine counts and unit timing.
 * Three sinks — :class:`NDJSONStreamSink` (append-only stream, one
   flushed line per record so a reader tailing the file sees at worst one
   torn final line; the final snapshot is *also* written atomically to
@@ -28,7 +28,7 @@ in :data:`~repro.obs.trace.LIVE_KINDS` here as they happen.
 
 Telemetry *observes* a run and never changes it: suite reports are
 byte-identical with live telemetry enabled or disabled, under every
-execution policy and backend.
+execution policy.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def unit_fields(index: int, unit: str, result: "TestResult", *,
-                backend: str = "tree", replayed: bool = False) -> dict:
+                replayed: bool = False) -> dict:
     """The JSON-safe fields of one ``unit.finished`` event.
 
     The one phase-accounting rule: phases that never reached the compiler
@@ -70,15 +70,12 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
         "unit": unit,
         "index": index,
         "replayed": replayed,
-        "backend": backend,
         "passed": result.passed,
         "failure_kind": kind.value if kind is not None else None,
         "elapsed_s": result.elapsed_s,
         "iterations": 0,
         "compile_cache_hits": 0,
         "compile_cache_misses": 0,
-        "lower_cache_hits": 0,
-        "lower_cache_misses": 0,
         "compile_s": 0.0,
         "run_s": 0.0,
         "phases": {},
@@ -101,11 +98,6 @@ def unit_fields(index: int, unit: str, result: "TestResult", *,
             fields["compile_cache_hits"] += 1
         else:
             fields["compile_cache_misses"] += 1
-        if phase.lower_hit is not None:
-            if phase.lower_hit:
-                fields["lower_cache_hits"] += 1
-            else:
-                fields["lower_cache_misses"] += 1
     return fields
 
 
@@ -133,16 +125,15 @@ class ProgressTally:
     iterations_run: int = 0
     compile_cache_hits: int = 0
     compile_cache_misses: int = 0
-    lower_cache_hits: int = 0
-    lower_cache_misses: int = 0
     compile_s: float = 0.0
     execute_s: float = 0.0
     #: failure-kind value -> count (result-level dominant kinds)
     failure_kinds: Dict[str, int] = field(default_factory=dict)
     #: phase mode -> {"pass": n, "fail": n, "harness_error": n, "static_error": n}
     phase_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: backend -> [count, sum, min, max] of unit durations
-    backend_timing: Dict[str, List[float]] = field(default_factory=dict)
+    #: [count, sum, min, max] of unit durations
+    unit_timing: List[float] = field(
+        default_factory=lambda: [0, 0.0, 0.0, 0.0])
 
     @property
     def progress(self) -> Optional[float]:
@@ -154,11 +145,6 @@ class ProgressTally:
     def compile_cache_hit_rate(self) -> float:
         total = self.compile_cache_hits + self.compile_cache_misses
         return self.compile_cache_hits / total if total else 0.0
-
-    @property
-    def lower_cache_hit_rate(self) -> float:
-        total = self.lower_cache_hits + self.lower_cache_misses
-        return self.lower_cache_hits / total if total else 0.0
 
     def fold(self, record: dict) -> None:
         """Fold one event record; snapshots and other kinds are ignored."""
@@ -196,8 +182,6 @@ class ProgressTally:
         self.iterations_run += int(fields.get("iterations", 0))
         self.compile_cache_hits += int(fields.get("compile_cache_hits", 0))
         self.compile_cache_misses += int(fields.get("compile_cache_misses", 0))
-        self.lower_cache_hits += int(fields.get("lower_cache_hits", 0))
-        self.lower_cache_misses += int(fields.get("lower_cache_misses", 0))
         self.compile_s += float(fields.get("compile_s", 0.0))
         self.execute_s += float(fields.get("run_s", 0.0))
         for mode, phase in (fields.get("phases") or {}).items():
@@ -215,11 +199,10 @@ class ProgressTally:
                 counts["pass"] += 1
             else:
                 counts["fail"] += 1
-        backend = str(fields.get("backend", "?"))
         elapsed = float(fields.get("elapsed_s", 0.0))
-        timing = self.backend_timing.get(backend)
-        if timing is None:
-            self.backend_timing[backend] = [1, elapsed, elapsed, elapsed]
+        timing = self.unit_timing
+        if timing[0] == 0:
+            timing[:] = [1, elapsed, elapsed, elapsed]
         else:
             timing[0] += 1
             timing[1] += elapsed
@@ -283,6 +266,7 @@ class SnapshotReporter:
         integer tallies are exact either way).
         """
         t = self.tally
+        count, total, lo, hi = t.unit_timing
         self._last_units = t.units_done
         self._last_t = self.clock()
         wall = self.wall_s
@@ -319,17 +303,8 @@ class SnapshotReporter:
                 "misses": t.compile_cache_misses,
                 "hit_rate": round(t.compile_cache_hit_rate, 6),
             },
-            "lower_cache": {
-                "hits": t.lower_cache_hits,
-                "misses": t.lower_cache_misses,
-                "hit_rate": round(t.lower_cache_hit_rate, 6),
-            },
-            "backend_timing": {
-                backend: {"count": int(c), "sum": round(s, 6),
-                          "min": round(lo, 6), "max": round(hi, 6)}
-                for backend, (c, s, lo, hi)
-                in sorted(t.backend_timing.items())
-            },
+            "unit_timing": {"count": int(count), "sum": round(total, 6),
+                            "min": round(lo, 6), "max": round(hi, 6)},
         }
         if metrics is not None:
             record["run_metrics"] = metrics
@@ -521,26 +496,17 @@ def render_prometheus(snapshot: dict) -> str:
     family("iterations_total", "counter",
            "Program executions across all phases.",
            [("", None, snapshot.get("iterations_run", 0))])
-    cache_samples = []
-    for cache_name in ("compile", "lower"):
-        cache = snapshot.get(f"{cache_name}_cache") or {}
-        cache_samples.append(
-            ("", {"cache": cache_name, "outcome": "hit"},
-             cache.get("hits", 0)))
-        cache_samples.append(
-            ("", {"cache": cache_name, "outcome": "miss"},
-             cache.get("misses", 0)))
+    cache = snapshot.get("compile_cache") or {}
     family("cache_lookups_total", "counter",
-           "Compile/lowering cache lookups by outcome.", cache_samples)
-    timing_samples = []
-    for backend, timing in sorted(
-            (snapshot.get("backend_timing") or {}).items()):
-        timing_samples.append(
-            ("_count", {"backend": backend}, timing.get("count", 0)))
-        timing_samples.append(
-            ("_sum", {"backend": backend}, timing.get("sum", 0.0)))
-    family("unit_seconds", "summary",
-           "Unit wall-clock seconds by interpreter backend.", timing_samples)
+           "Compile cache lookups by outcome.",
+           [("", {"cache": "compile", "outcome": "hit"},
+             cache.get("hits", 0)),
+            ("", {"cache": "compile", "outcome": "miss"},
+             cache.get("misses", 0))])
+    timing = snapshot.get("unit_timing") or {}
+    family("unit_seconds", "summary", "Unit wall-clock seconds.",
+           [("_count", None, timing.get("count", 0)),
+            ("_sum", None, timing.get("sum", 0.0))])
     family("units_per_second", "gauge",
            "Fresh (non-replayed) unit completion rate.",
            [("", None, snapshot.get("units_per_sec", 0.0))])

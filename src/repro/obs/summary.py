@@ -139,12 +139,6 @@ def _tally_lines(tally: ProgressTally, final: Optional[dict]) -> List[str]:
         f"{tally.compile_cache_misses} misses "
         f"({tally.compile_cache_hit_rate:.1%} hit rate)"
     )
-    if tally.lower_cache_hits or tally.lower_cache_misses:
-        lines.append(
-            f"  lowering cache     : {tally.lower_cache_hits} hits / "
-            f"{tally.lower_cache_misses} misses "
-            f"({tally.lower_cache_hit_rate:.1%} hit rate)"
-        )
     if tally.retries or tally.worker_lost:
         lines.append(f"  retries / lost     : {tally.retries} / "
                      f"{tally.worker_lost}")
@@ -158,11 +152,10 @@ def _tally_lines(tally: ProgressTally, final: Optional[dict]) -> List[str]:
                 for verdict, count in sorted(counts.items()) if count
             )
         )
-    for backend, (count, total_s, lo, hi) in sorted(
-            tally.backend_timing.items()):
-        mean = total_s / count if count else 0.0
+    count, total_s, lo, hi = tally.unit_timing
+    if count:
         lines.append(
-            f"  backend {backend:10s} : {count} units, mean {mean:.4f}s "
+            f"  units              : {count}, mean {total_s / count:.4f}s "
             f"(min {lo:.4f}s, max {hi:.4f}s)"
         )
     if final is not None:

@@ -17,7 +17,7 @@ import pytest
 from repro.faults import ChaosSchedule, FaultPlan, drive_to_completion
 from repro.faults.chaos import RUNNER_SITES, SERVER_SITES, _FIELDS
 from repro.harness import ValidationRunner, render_csv
-from repro.journal import fsck_journal
+from repro.journal import scan_journal_file
 from repro.server import CampaignClient, normalize_spec, serve_in_thread
 from repro.server.protocol import spec_behavior, spec_config, spec_suite
 
@@ -122,11 +122,11 @@ class TestChaosCampaign:
             assert lines[-1]["end"] and lines[-1]["state"] == "done"
             assert lines[-1]["dropped"] >= 0
             # crash consistency: what chaos left on disk passes fsck
-            report = fsck_journal(
+            scan = scan_journal_file(
                 os.path.join(str(tmp_path / "state"),
                              f"{info['id']}.journal")
             )
-            assert report.resumable
-            assert set(report.salvageable_units())  # units actually landed
+            assert scan.resumable
+            assert set(scan.salvageable_units())  # units actually landed
         finally:
             handle.stop()

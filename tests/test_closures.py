@@ -1,12 +1,13 @@
-"""Tests for the closure-compilation backend (:mod:`repro.compiler.closures`)
-and the interpreter correctness fixes that shipped with it.
+"""Tests for closure compilation (:mod:`repro.compiler.closures`) and the
+interpreter correctness fixes that shipped with it.
 
-The backend's contract is observable equivalence with the reference tree
-walker: same :class:`ExecutionResult` (value, output, steps, device
-counters), same error strings, over every template the suite ships.  The
-differential below enforces that over the full corpus, and the engine-level
-tests assert byte-identical report renderings across backends and execution
-policies.
+Every campaign runs the closure lowering; its contract is observable
+equivalence with the reference tree walker (an :class:`Interpreter` built
+without a lowering): same :class:`ExecutionResult` (value, output, steps,
+device counters), same error strings, over every template the suite
+ships.  The differential below enforces that over the full corpus, and the
+engine-level tests assert byte-identical report renderings between the
+product path and the reference walker, under both execution policies.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import pytest
 
 from repro.accsim.errors import AccRuntimeError, ExecutionTimeout
 from repro.accsim.machine import Machine
+import repro.compiler.pipeline as pipeline
 from repro.compiler import (
-    BACKENDS,
     CompileCache,
     Compiler,
     ExecutionLimits,
@@ -56,17 +57,27 @@ def _compile(source: str, name: str = "t.c"):
     return Compiler().compile(source, "c", name)
 
 
+#: the two execution paths: the tree walker (the reference) and the
+#: closure lowering every campaign runs
+PATHS = ("tree", "closures")
+
+
+def _interpreter(compiled, path: str, **kwargs) -> Interpreter:
+    lowered = lower_program(compiled.program) if path == "closures" else None
+    return Interpreter(compiled.program, compiled.behavior, lowered=lowered,
+                       **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Interpreter.run() reuse contract
 # ---------------------------------------------------------------------------
 
 
 class TestRunReuse:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_owned_machine_run_twice_is_identical(self, backend):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_owned_machine_run_twice_is_identical(self, path):
         compiled = _compile(_STATEFUL_SRC)
-        interp = Interpreter(compiled.program, compiled.behavior,
-                             backend=backend)
+        interp = _interpreter(compiled, path)
         first = interp.run()
         second = interp.run()
         # the regression: globals/output/device counters leaked across
@@ -74,11 +85,10 @@ class TestRunReuse:
         assert first == second
         assert second.bytes_to_device == first.bytes_to_device
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_caller_supplied_machine_reuse_raises(self, backend):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_caller_supplied_machine_reuse_raises(self, path):
         compiled = _compile(_STATEFUL_SRC)
-        interp = Interpreter(compiled.program, compiled.behavior,
-                             machine=Machine(), backend=backend)
+        interp = _interpreter(compiled, path, machine=Machine())
         interp.run()
         with pytest.raises(InterpreterReuseError):
             interp.run()
@@ -89,11 +99,10 @@ class TestRunReuse:
         assert not issubclass(InterpreterReuseError, AccRuntimeError)
         assert issubclass(InterpreterReuseError, RuntimeError)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reset_covers_limits_and_output(self, backend):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_reset_covers_limits_and_output(self, path):
         compiled = _compile(_STATEFUL_SRC)
-        interp = Interpreter(compiled.program, compiled.behavior,
-                             backend=backend)
+        interp = _interpreter(compiled, path)
         first = interp.run()
         # a second run under a tighter budget must time out: proof the
         # budget is re-read, not frozen at first-run state
@@ -126,8 +135,8 @@ class TestLazyIterationValues:
         assert isinstance(values, range)
         assert len(values) == 2_000_000_000
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_huge_trip_count_hits_step_budget_not_allocator(self, backend):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_huge_trip_count_hits_step_budget_not_allocator(self, path):
         # 2e9 iterations materialised as a list is ~16 GB; lazily it is an
         # O(1) range and the step budget stops the loop almost immediately
         source = """
@@ -140,8 +149,8 @@ class TestLazyIterationValues:
         """
         compiled = _compile(source)
         with pytest.raises(ExecutionTimeout):
-            compiled.run(limits=ExecutionLimits(max_steps=5_000),
-                         backend=backend)
+            _interpreter(compiled, path).run(
+                limits=ExecutionLimits(max_steps=5_000))
 
 
 def _walk_stmts(block):
@@ -226,16 +235,17 @@ class TestCacheStats:
 
 
 # ---------------------------------------------------------------------------
-# cross-backend differential over the full shipped corpus
+# tree-vs-closures differential over the full shipped corpus
 # ---------------------------------------------------------------------------
 
 
 class TestCrossBackendCorpus:
     def test_every_template_runs_identically(self, suite10,
                                              reference_compiler):
-        """Both backends must produce the same ExecutionResult — or raise
-        the same error with the same message — for every generated source
-        (functional and cross) of every template in the corpus."""
+        """The product path (``CompiledProgram.run``, closures) must produce
+        the tree walker's ExecutionResult — or raise the same error with
+        the same message — for every generated source (functional and
+        cross) of every template in the corpus."""
         checked = 0
         for template in suite10.select():
             generated = [generate_functional(template)]
@@ -246,17 +256,21 @@ class TestCrossBackendCorpus:
                     compiled = reference_compiler.compile(
                         gen.source, template.language, template.name)
                 except Exception:
-                    continue  # compile errors never reach a backend
+                    continue  # compile errors never reach execution
                 env = template.environment or None
+                reference = Interpreter(compiled.program, compiled.behavior,
+                                        env_vars=env, rng_seed=20140519)
                 outcomes = {}
-                for backend in BACKENDS:
+                for path, run in (
+                        ("tree", reference.run),
+                        ("closures", lambda: compiled.run(
+                            env_vars=env, rng_seed=20140519))):
                     try:
-                        outcomes[backend] = compiled.run(
-                            env_vars=env, rng_seed=20140519, backend=backend)
+                        outcomes[path] = run()
                     except Exception as exc:  # noqa: BLE001 - differential
-                        outcomes[backend] = (type(exc).__name__, str(exc))
+                        outcomes[path] = (type(exc).__name__, str(exc))
                 assert outcomes["closures"] == outcomes["tree"], (
-                    f"backend divergence on {template.name} "
+                    f"closures diverge from the tree walker on {template.name} "
                     f"({template.language}, {gen.mode})"
                 )
                 checked += 1
@@ -266,52 +280,54 @@ class TestCrossBackendCorpus:
 
     def test_lowered_program_is_shared_and_pure(self):
         compiled = _compile(_STATEFUL_SRC)
-        lowered = compiled.lowered()
-        assert compiled.lowered() is lowered  # cached on the instance
-        a = Interpreter(compiled.program, compiled.behavior,
-                        backend="closures", lowered=lowered)
-        b = Interpreter(compiled.program, compiled.behavior,
-                        backend="closures", lowered=lowered)
-        assert a.run() == b.run()  # shared lowering, independent state
+        lowered = lower_program(compiled.program)
+        a = Interpreter(compiled.program, compiled.behavior, lowered=lowered)
+        b = Interpreter(compiled.program, compiled.behavior, lowered=lowered)
+        # shared lowering, independent state, the reference's result
+        assert a.run() == b.run() == _interpreter(compiled, "tree").run()
 
     def test_lowering_survives_pickling_boundary(self):
         import pickle
 
         compiled = _compile(_STATEFUL_SRC)
-        compiled.lowered()
+        compiled.run()
+        # the process policy ships compiled programs between processes:
+        # a program that has run must still pickle, and its clone lowers
+        # afresh to the reference's result
         clone = pickle.loads(pickle.dumps(compiled))
-        # closures are not picklable: the clone must drop the lowering and
-        # rebuild it on demand, not fail
-        assert clone._lowered is None
-        assert clone.run(backend="closures") == compiled.run(backend="tree")
-
-    def test_unknown_backend_rejected(self):
-        compiled = _compile(_STATEFUL_SRC)
-        with pytest.raises(ValueError, match="backend"):
-            Interpreter(compiled.program, compiled.behavior, backend="jit")
-        with pytest.raises(ValueError, match="backend"):
-            HarnessConfig(backend="jit")
+        assert clone.run() == _interpreter(compiled, "tree").run()
 
 
 # ---------------------------------------------------------------------------
-# engine-level byte identity across backends and policies
+# engine-level byte identity: product vs reference, across policies
 # ---------------------------------------------------------------------------
 
 
-def _engine_run(suite, **config_kwargs):
+def _engine_run(suite, reference: bool = False, **config_kwargs):
+    """Run a campaign on the product path, or with every phase's lowering
+    replaced by None — the reference tree walker (``reference=True``)."""
     defaults = dict(iterations=1, languages=("c", "fortran"))
     defaults.update(config_kwargs)
     runner = ValidationRunner(config=HarnessConfig(**defaults))
-    return runner.run_suite(suite)
+    seams = []
+    with pytest.MonkeyPatch.context() as patch:
+        if reference:
+            # records each lowering request and answers None
+            patch.setattr(pipeline, "lower_program", seams.append)
+        report = runner.run_suite(suite)
+    # the seam was really on the campaign's path (else this compares the
+    # product with itself)
+    assert seams or not reference
+    return report
 
 
 class TestReportByteIdentity:
     @pytest.fixture(scope="class")
     def tree_report(self, suite10):
-        return _engine_run(suite10, backend="tree")
+        return _engine_run(suite10, reference=True)
 
     def test_serial_full_corpus(self, suite10, tree_report):
-        report = _engine_run(suite10, backend="closures")
+        report = _engine_run(suite10)
         assert render_csv(report) == render_csv(tree_report)
         assert render_text(report) == render_text(tree_report)
 
@@ -319,9 +335,9 @@ class TestReportByteIdentity:
     def test_pooled_closures_match_serial_tree(self, suite10, policy,
                                                workers):
         prefixes = ["parallel", "loop", "data"]
-        serial = _engine_run(suite10, backend="tree",
+        serial = _engine_run(suite10, reference=True,
                              feature_prefixes=prefixes)
-        pooled = _engine_run(suite10, backend="closures", policy=policy,
-                             workers=workers, feature_prefixes=prefixes)
+        pooled = _engine_run(suite10, policy=policy, workers=workers,
+                             feature_prefixes=prefixes)
         assert render_csv(pooled) == render_csv(serial)
         assert render_text(pooled) == render_text(serial)

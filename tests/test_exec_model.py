@@ -4,7 +4,7 @@ data environments, reductions, async behaviour and host_data."""
 import pytest
 
 from repro.accsim.errors import AccRuntimeError, PresentError
-from repro.compiler import Compiler, CompilerBehavior
+from repro.compiler import Compiler, CompilerBehavior, Interpreter, lower_program
 
 
 CC = Compiler()
@@ -517,7 +517,12 @@ int main(){
   return r;
 }
 """
-        assert CC.compile(src, "c").run(backend=backend).value == 10
+        compiled = CC.compile(src, "c")
+        lowered = (lower_program(compiled.program) if backend == "closures"
+                   else None)  # None: the reference tree walker
+        interp = Interpreter(compiled.program, compiled.behavior,
+                             lowered=lowered)
+        assert interp.run().value == 10
 
     @pytest.mark.parametrize("ctype", ["int", "long", "float", "double", "char"])
     def test_deviceptr_last_element_of_malloc(self, ctype):

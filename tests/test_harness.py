@@ -168,6 +168,27 @@ class TestRunnerPipeline:
         assert kinds[FailureKind.COMPILE_ERROR] == 2
 
 
+    def test_lowering_counts_as_compile_time(self, monkeypatch):
+        # the runner lowers each phase's program inside the compile span,
+        # so lowering shows up in compile_s (and RunMetrics, the trace)
+        import time
+
+        import repro.compiler.pipeline as pipeline
+
+        lower = pipeline.lower_program
+
+        def slow_lower(program):
+            time.sleep(0.05)
+            return lower(program)
+
+        monkeypatch.setattr(pipeline, "lower_program", slow_lower)
+        tpl = _template("int main(){ return 1; }")
+        config = HarnessConfig(iterations=2, run_cross=False)
+        result = ValidationRunner(config=config).run_template(tpl)
+        assert result.passed
+        assert result.functional.compile_s >= 0.05
+
+
 class TestReports:
     @pytest.fixture(scope="class")
     def sample_report(self):

@@ -17,6 +17,7 @@ Layers under test, bottom up:
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -40,7 +41,6 @@ from repro.journal import (
     canonicalize,
     decode_result,
     encode_result,
-    fsck_journal,
     read_journal,
     record_line,
     render_fsck,
@@ -358,7 +358,32 @@ def _validate_args(tmp_path, policy="serial", **extra):
     return args
 
 
+#: a ``repro validate --language c --features parallel.if update
+#: --iterations 2 --format csv --journal`` journal written before
+#: ``HarnessConfig.backend`` was retired, cut to its first three units as
+#: an interrupted run leaves it
+_PARENT_JOURNAL = os.path.join(os.path.dirname(__file__), "data",
+                               "parent_validate.journal")
+
+
 class TestCliResume:
+    def test_journal_from_before_backend_retired_resumes(self, tmp_path):
+        """The retired key was never part of the campaign key, so a
+        journal an earlier version wrote still binds to the same
+        campaign: its three units replay and the rest run."""
+        journal = str(tmp_path / "j.journal")
+        shutil.copyfile(_PARENT_JOURNAL, journal)
+        args = ["validate", "--language", "c", "--features", "parallel.if",
+                "update", "--iterations", "2", "--format", "csv"]
+        fresh = str(tmp_path / "fresh.csv")
+        assert main(args + ["--output", fresh]) == 0
+        resumed = str(tmp_path / "resumed.csv")
+        assert main(args + ["--resume", journal, "--output", resumed]) == 0
+        with open(fresh) as a, open(resumed) as b:
+            assert a.read() == b.read()
+        loaded = read_journal(journal)
+        assert loaded.resumes == 1 and len(loaded.records) == 5
+
     @pytest.mark.parametrize("policy", ["serial", "process"])
     def test_torn_write_crash_then_resume_byte_identical(
             self, tmp_path, policy, capsys):
@@ -605,27 +630,26 @@ class TestFsck:
 
     def test_clean_journal_is_clean(self, tmp_path):
         path = self._journal(tmp_path)
-        report = fsck_journal(path)
-        assert report.clean and report.resumable
-        assert set(report.salvageable_units()) == {"a:c", "b:c"}
-        assert "clean" in render_fsck(report)
+        scan = scan_journal_file(path)
+        assert scan.clean and scan.resumable
+        assert set(scan.salvageable_units()) == {"a:c", "b:c"}
+        assert "clean" in render_fsck(scan)
 
     def test_torn_tail_is_salvageable_not_clean(self, tmp_path):
         path = self._journal(tmp_path)
         line = record_line({"type": "unit", "unit": "x:c", "payload": {}})
         with open(path, "ab") as handle:
             handle.write(line[: len(line) // 2])
-        report = fsck_journal(path)
-        assert not report.clean and report.resumable
-        scan = report.files[0]
+        scan = scan_journal_file(path)
+        assert not scan.clean and scan.resumable
         assert scan.status == "torn"
         assert scan.bad_bytes == len(line) // 2
         assert "torn tail" in scan.detail
-        assert set(report.salvageable_units()) == {"a:c", "b:c"}
-        assert "salvageable" in render_fsck(report)
+        assert set(scan.salvageable_units()) == {"a:c", "b:c"}
+        assert "salvageable" in render_fsck(scan)
         # the verdict matches what resume actually does
         JournalWriter.resume(path, CAMPAIGN).close()
-        assert fsck_journal(path).resumable
+        assert scan_journal_file(path).resumable
 
     def test_mid_file_corruption_reported_with_intact_prefix(self, tmp_path):
         path = self._journal(tmp_path, units=("a:c", "b:c", "c:c"))
@@ -634,22 +658,21 @@ class TestFsck:
         lines[2] = lines[2].replace(b'"b:c"', b'"B:C"')  # breaks checksum
         with open(path, "wb") as handle:
             handle.writelines(lines)
-        report = fsck_journal(path)
-        assert not report.resumable
-        scan = report.files[0]
+        scan = scan_journal_file(path)
+        assert not scan.resumable
         assert scan.status == "corrupt"
         assert scan.first_bad_line == 3
         assert "corruption" in scan.detail
         # the intact prefix before the bad line is still counted
         assert set(scan.records) == {"a:c"}
-        assert "CORRUPT" in render_fsck(report)
+        assert "CORRUPT" in render_fsck(scan)
         with pytest.raises(JournalCorruptError):
             read_journal(path)
 
     def test_missing_and_headerless_files(self, tmp_path):
-        missing = fsck_journal(str(tmp_path / "nope.journal"))
+        missing = scan_journal_file(str(tmp_path / "nope.journal"))
         assert not missing.resumable
-        assert missing.files[0].status == "missing"
+        assert missing.status == "missing"
         empty = tmp_path / "empty.journal"
         empty.write_bytes(b"")
         scan = scan_journal_file(str(empty))

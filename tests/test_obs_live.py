@@ -8,8 +8,9 @@ Covers the PR's acceptance criteria:
   report's :class:`~repro.harness.engine.RunMetrics` integers;
 * snapshots are monotone (units_done, wall clock) under an injected
   clock and in real streams;
-* reports are byte-identical with telemetry on or off, across all three
-  execution policies and both interpreter backends;
+* reports are byte-identical with telemetry on or off, under both
+  execution policies, on the product path and the reference walker;
+* a stream an earlier version wrote still reads and summarises;
 * journal resume: replayed units count toward progress and are marked
   ``replayed``; the resumed report matches an uninterrupted run;
 * the one reader (:func:`repro.obs.read_trace`) on live streams: a torn
@@ -26,9 +27,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import pytest
 
+import repro.compiler.pipeline as pipeline
 from repro.cli import main
 from repro.compiler.vendors import vendor_version
 from repro.faults import FaultPlan, InjectedJournalTear
@@ -134,32 +137,16 @@ def test_unit_fields_skip_harness_error_phases(suite10):
     assert fields["failure_kind"] == "harness_error"
 
 
-def test_unit_fields_lowering_cache(suite10):
-    template = suite10.get("parallel", "c")
-    hit = PhaseResult(mode="functional", source="", lower_hit=True,
-                      iterations=[IterationOutcome(ok=True, value=0)])
-    fields = unit_fields(0, "u", _result(template, hit))
-    assert fields["lower_cache_hits"] == 1
-    assert fields["lower_cache_misses"] == 0
-    # tree backend: lower_hit is None -> neither counter moves
-    tree = PhaseResult(mode="functional", source="",
-                       iterations=[IterationOutcome(ok=True, value=0)])
-    fields = unit_fields(0, "u", _result(template, tree))
-    assert fields["lower_cache_hits"] == 0
-    assert fields["lower_cache_misses"] == 0
-
-
 # ---------------------------------------------------------------------------
 # tally + snapshots
 # ---------------------------------------------------------------------------
 
 
 def _unit_event(**fields):
-    base = {"unit": "u", "index": 0, "replayed": False, "backend": "tree",
+    base = {"unit": "u", "index": 0, "replayed": False,
             "passed": True, "failure_kind": None, "elapsed_s": 0.25,
             "iterations": 2, "compile_cache_hits": 1,
-            "compile_cache_misses": 0, "lower_cache_hits": 0,
-            "lower_cache_misses": 0, "compile_s": 0.1, "run_s": 0.1,
+            "compile_cache_misses": 0, "compile_s": 0.1, "run_s": 0.1,
             "phases": {"functional": {"ok": True, "harness_error": False,
                                       "static_error": False}}}
     base.update(fields)
@@ -189,7 +176,7 @@ def test_tally_folds_campaign_events():
     assert tally.retries == 1 and tally.quarantined == 1
     assert tally.phase_counts["functional"] == {
         "pass": 1, "fail": 1, "harness_error": 0, "static_error": 0}
-    assert tally.backend_timing["tree"][0] == 2
+    assert tally.unit_timing == [2, 0.5, 0.25, 0.25]
 
 
 def test_snapshots_are_monotone_under_injected_clock():
@@ -244,15 +231,18 @@ def test_snapshot_units_per_sec_counts_fresh_units_only():
 ])
 @pytest.mark.parametrize("backend", ["tree", "closures"])
 def test_reports_identical_with_and_without_telemetry(
-        tmp_path, suite10, policy, workers, backend):
+        tmp_path, suite10, policy, workers, backend, monkeypatch):
+    if backend == "tree":
+        # every phase's lowering is None: the reference walker runs
+        monkeypatch.setattr(pipeline, "lower_program", lambda program: None)
     plain = ValidationRunner(_PGI, _quick_config(
-        policy=policy, workers=workers, backend=backend))
+        policy=policy, workers=workers))
     baseline = plain.run_suite(suite10)
 
     stream = tmp_path / "run.ndjson"
     prom = tmp_path / "run.prom"
     live = ValidationRunner(_PGI, _quick_config(
-        policy=policy, workers=workers, backend=backend,
+        policy=policy, workers=workers,
         live_stream=str(stream), prom=str(prom)))
     observed = live.run_suite(suite10)
 
@@ -478,11 +468,12 @@ def test_prometheus_render_passes_own_linter():
                          "fields": {"total_units": 2}})
     reporter.tally.fold(_unit_event(passed=False,
                                     failure_kind="wrong_value"))
-    reporter.tally.fold(_unit_event(backend="closures",
-                                    lower_cache_hits=1))
+    reporter.tally.fold(_unit_event())
     text = render_prometheus(reporter.snapshot(final=True))
     assert lint_prometheus(text) == []
     assert "repro_campaign_units_done_total 2" in text
+    assert "repro_campaign_unit_seconds_count 2" in text
+    assert 'cache="lower"' not in text
     assert 'failure_kinds{kind="wrong_value"}' not in text  # spec'd name
     assert 'repro_campaign_failures_total{kind="wrong_value"} 1' in text
 
@@ -520,68 +511,6 @@ def test_live_knobs_do_not_change_campaign_identity(tmp_path):
         live_stream=str(tmp_path / "s.ndjson"), status=True,
         prom=str(tmp_path / "s.prom")))
     assert quiet == loud
-
-
-# ---------------------------------------------------------------------------
-# lowering-cache instrumentation (satellite)
-# ---------------------------------------------------------------------------
-
-
-def test_lowering_cache_counters_hit_and_miss(suite10):
-    from repro.compiler import Compiler
-    from repro.obs.sink import trace_to_jsonl
-
-    tracer = Tracer()
-    compiled = Compiler().compile("int main() { return 0; }", "c")
-    with tracer.span("suite-run"):
-        first = compiled.runner(backend="closures", tracer=tracer, name="t")
-        second = compiled.runner(backend="closures", tracer=tracer, name="t")
-    assert first.lower_hit is False
-    assert second.lower_hit is True
-    # tree backend never lowers
-    assert compiled.runner(backend="tree", tracer=tracer).lower_hit is None
-    trace = parse_trace(trace_to_jsonl(tracer, meta={"command": "t"}))
-    summary = summarize_trace(trace)
-    assert summary.event_counts == {"lower.cache_miss": 1,
-                                    "lower.cache_hit": 1}
-
-    # in a run, lowering-cache totals are folded from the unit events
-    tracer = Tracer()
-    report = ValidationRunner(_PGI, _quick_config(
-        backend="closures", feature_prefixes=["parallel.if"]),
-        tracer=tracer).run_suite(suite10)
-    phase = report.results[0].functional
-    summary = summarize_trace(parse_trace(trace_to_jsonl(tracer)))
-    hits, misses = (1, 0) if phase.lower_hit else (0, 1)
-    assert summary.tally.lower_cache_hits == hits
-    assert summary.tally.lower_cache_misses == misses
-    assert f"lowering cache     : {hits} hits / {misses} misses" in \
-        render_summary_text(summary)
-
-
-def test_journal_round_trips_lower_hit(tmp_path, suite10):
-    from repro.journal import JournalWriter, read_journal, \
-        validate_campaign_key
-    from repro.journal.codec import decode_result
-
-    config = _quick_config(backend="closures",
-                           feature_prefixes=["parallel.if"])
-    campaign = validate_campaign_key("1.0", _PGI, config)
-    path = tmp_path / "j.journal"
-    runner = ValidationRunner(_PGI, config)
-    journal = JournalWriter.create(str(path), campaign)
-    report = runner.run_suite(suite10, journal=journal)
-    journal.close()
-
-    assert len(report.results) == 1
-    original = report.results[0]
-    assert original.functional.lower_hit is not None
-
-    loaded = read_journal(str(path))
-    assert len(loaded.records) == 1
-    (payload,) = loaded.records.values()
-    decoded = decode_result(payload, original.template)
-    assert decoded.functional.lower_hit == original.functional.lower_hit
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +556,20 @@ def test_cli_obs_tail_and_summarize(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "units done" in out
     assert "run metrics" in out
+
+
+def test_cli_obs_tail_summarizes_stream_from_before_backend_retired(capsys):
+    """A v2 stream an earlier version wrote with the closures selected:
+    its per-backend timing and lowering-cache fields, in unit events and
+    snapshots, are unknown now and ignored."""
+    stream = os.path.join(os.path.dirname(__file__), "data",
+                          "parent_stream.ndjson")
+    assert main(["obs", "tail", stream, "--summarize"]) == 0
+    out = capsys.readouterr().out
+    assert "units done         : 1/1" in out
+    assert "compile cache      : 0 hits / 1 misses" in out
+    assert "units              : 1, mean 0.1274s" in out
+    assert "lowering cache" not in out and "backend" not in out
 
 
 def test_cli_obs_tail_tolerates_torn_tail(tmp_path, capsys):

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.harness import ValidationRunner, render_csv
+from repro.harness import HarnessConfig, ValidationRunner, render_csv
 from repro.server import (
     CampaignClient,
     ProtocolError,
@@ -101,6 +101,15 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="was removed") as err:
             normalize_spec({"scheduler": scheduler, "workers": 2})
         assert 'config.policy = "process"' in str(err.value)
+
+    def test_retired_backend_key_is_dropped(self):
+        # specs and configs from clients of earlier versions still carry
+        # the interpreter choice; it selects nothing now
+        assert HarnessConfig.from_dict({"backend": "closures"}) == \
+            HarnessConfig()
+        spec = normalize_spec({"config": {"backend": "tree"}})
+        assert "backend" not in spec["config"]
+        assert spec == normalize_spec({})
 
     def test_vendor_spec_with_single_language_accepted(self):
         spec = normalize_spec({"vendor": "caps", "version": "3.0.7",
@@ -270,6 +279,34 @@ class TestServerResume:
                 assert fh.read() == _direct_csv(_BIG)
         finally:
             handle2.stop()
+
+    def test_server_journal_with_retired_backend_relaunches(self, tmp_path):
+        # a server journal written while HarnessConfig had ``backend``:
+        # its normalised spec carries the key, and the relaunched server
+        # must run the queued campaign to the same report
+        import repro
+        from repro.journal import JOURNAL_FORMAT, JournalWriter
+
+        root = tmp_path / "state"
+        root.mkdir()
+        key = {"format": JOURNAL_FORMAT, "command": "serve",
+               "code_version": repro.__version__}
+        old_spec = normalize_spec(_SMALL)
+        old_spec["config"]["backend"] = "tree"
+        journal = JournalWriter.create(str(root / "server.journal"), key)
+        journal.append("c0001", {"spec": old_spec, "state": "running",
+                                 "error": None, "report_path": None,
+                                 "failures": None})
+        journal.close()
+
+        handle = serve_in_thread(str(root))
+        try:
+            info = _client(handle).wait("c0001", timeout_s=120)
+            assert info["state"] == "done" and info["exit"] == 0
+            with open(info["report_path"], encoding="utf-8") as fh:
+                assert fh.read() == _direct_csv(_SMALL)
+        finally:
+            handle.stop()
 
     def test_replayed_removed_scheduler_fails_not_crashes(self, tmp_path):
         # a server journal written before the shards/simk8s backends were
